@@ -83,22 +83,7 @@ class Bipartition:
         return f"{left}|{right}"
 
 
-@dataclass(frozen=True)
-class BipartitionSet:
-    """Every unordered bipartition of n parties exactly once, in fixed order."""
-
-    n_parties: int
-    partitions: tuple[Bipartition, ...]
-    cardinality: int
-
-    def __iter__(self):
-        return iter(self.partitions)
-
-    def __len__(self) -> int:
-        return self.cardinality
-
-
-def enumerate_bipartitions(n: int) -> BipartitionSet:
+def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All unordered splits of n parties, sorted by (size of A, mask value).
 
     Masks containing party 0 enumerate each unordered pair exactly once,
@@ -111,8 +96,7 @@ def enumerate_bipartitions(n: int) -> BipartitionSet:
         (m for m in range(1, full) if m & 1),
         key=lambda m: (m.bit_count(), m),
     )
-    parts = tuple(Bipartition(m, n) for m in masks)
-    return BipartitionSet(n, parts, len(parts))
+    return tuple(Bipartition(m, n) for m in masks)
 
 
 def cardinality_formula(n: int) -> int:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bipartitions import Bipartition, enumerate_bipartitions
-from .linalg import linear_entropy, schmidt_spectrum
+from .bipartitions import Bipartition
+from .linalg import cut_spectra, linear_entropy, schmidt_weights
 from .states import PureState
 
 # Any concurrence below this is treated as an exactly vanishing cut, so a
@@ -40,12 +40,7 @@ def concurrence(
     otherwise differ by the constant factor sqrt(d_min / (2 (d_min - 1))).
     """
     _require_parties(state)
-    d_a, d_b = part.side_dims(state.dims)
-    d_min = min(d_a, d_b)
-    mixedness = max(0.0, linear_entropy(state, part))
-    if regularized:
-        return min(1.0, math.sqrt(d_min / (d_min - 1.0) * mixedness))
-    return math.sqrt(2.0 * mixedness)
+    return _concurrence(schmidt_weights(state, part), regularized)
 
 
 def gbc(state: PureState, regularized: bool = True) -> float:
@@ -55,22 +50,17 @@ def gbc(state: PureState, regularized: bool = True) -> float:
     factors never under- or overflows; returns exactly 0.0 as soon as any
     cut is a product cut.
     """
-    return _geometric_mean(_all_concurrences(state, regularized))
+    return _geometric_mean(_concurrences(_spectra(state), regularized))
 
 
 def gmc(state: PureState, regularized: bool = True) -> float:
     """Minimum bipartite concurrence over every bipartition."""
-    return min(_all_concurrences(state, regularized))
+    return min(_concurrences(_spectra(state), regularized))
 
 
 def ggm(state: PureState) -> float:
     """One minus the largest squared Schmidt coefficient over all cuts."""
-    _require_parties(state)
-    cuts = enumerate_bipartitions(state.n_parties)
-    lam_max = max(
-        float(schmidt_spectrum(state, part).lambdas_sq[0]) for part in cuts
-    )
-    return max(0.0, 1.0 - lam_max)
+    return _ggm(_spectra(state))
 
 
 def concurrence_fill(state: PureState) -> float:
@@ -86,19 +76,7 @@ def concurrence_fill(state: PureState) -> float:
         raise ValueError(
             f"concurrence fill needs exactly 3 qubits, got dims {state.dims}"
         )
-    sides = [
-        concurrence(state, Bipartition.from_parties([k], 3)) ** 2
-        for k in range(3)
-    ]
-    for i in range(3):
-        others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
-        if sides[i] > others + _TRIANGLE_TOL:
-            raise ArithmeticError(
-                f"squared concurrences {sides} violate the triangle inequality"
-            )
-    q = 0.5 * sum(sides)
-    heron = q * (q - sides[0]) * (q - sides[1]) * (q - sides[2])
-    return (_FILL_NORMALIZATION * max(0.0, heron)) ** 0.25
+    return _fill(cut_spectra(state))
 
 
 @dataclass(frozen=True)
@@ -133,31 +111,38 @@ class MeasureReport:
 
 
 def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
-    """Evaluate every applicable measure of one state in a single pass."""
-    _require_parties(state)
-    cuts = enumerate_bipartitions(state.n_parties)
-    pairs = tuple(
-        (part, concurrence(state, part, regularized)) for part in cuts
-    )
-    values = [v for _, v in pairs]
+    """Evaluate every applicable measure of one state from one spectral pass."""
+    spectra = _spectra(state)
+    values = _concurrences(spectra, regularized)
     mean = _geometric_mean(values)
     product = 0.0 if mean == 0.0 else math.exp(math.fsum(map(math.log, values)))
-    fill = concurrence_fill(state) if state.dims == (2, 2, 2) else None
     return MeasureReport(
-        per_bipartition=pairs,
+        per_bipartition=tuple((part, v) for (part, _), v in zip(spectra, values)),
         product_p=product,
-        cardinality=cuts.cardinality,
+        cardinality=len(spectra),
         gbc=mean,
         gmc=min(values),
-        ggm=ggm(state),
-        fill=fill,
+        ggm=_ggm(spectra),
+        fill=_fill(spectra) if state.dims == (2, 2, 2) else None,
     )
 
 
-def _all_concurrences(state: PureState, regularized: bool) -> list[float]:
+def _spectra(state: PureState):
     _require_parties(state)
-    cuts = enumerate_bipartitions(state.n_parties)
-    return [concurrence(state, part, regularized) for part in cuts]
+    return cut_spectra(state)
+
+
+def _concurrence(weights, regularized: bool) -> float:
+    # weights has min(d_A, d_B) entries
+    d_min = len(weights)
+    mixedness = max(0.0, linear_entropy(weights))
+    if regularized:
+        return min(1.0, math.sqrt(d_min / (d_min - 1.0) * mixedness))
+    return math.sqrt(2.0 * mixedness)
+
+
+def _concurrences(spectra, regularized: bool) -> list[float]:
+    return [_concurrence(weights, regularized) for _, weights in spectra]
 
 
 def _geometric_mean(values) -> float:
@@ -166,6 +151,25 @@ def _geometric_mean(values) -> float:
     # fsum over the canonical cut order: reproducible bit-for-bit and
     # insensitive to accumulation order.
     return math.exp(math.fsum(map(math.log, values)) / len(values))
+
+
+def _ggm(spectra) -> float:
+    return max(0.0, 1.0 - max(float(weights[0]) for _, weights in spectra))
+
+
+def _fill(spectra) -> float:
+    # canonical three-qubit order 0|12, 01|2, 02|1: party k alone is cut 0, 2, 1
+    c0, c2, c1 = _concurrences(spectra, regularized=True)
+    sides = [c0**2, c1**2, c2**2]
+    for i in range(3):
+        others = sides[(i + 1) % 3] + sides[(i + 2) % 3]
+        if sides[i] > others + _TRIANGLE_TOL:
+            raise ArithmeticError(
+                f"squared concurrences {sides} violate the triangle inequality"
+            )
+    q = 0.5 * sum(sides)
+    heron = q * (q - sides[0]) * (q - sides[1]) * (q - sides[2])
+    return (_FILL_NORMALIZATION * max(0.0, heron)) ** 0.25
 
 
 def _require_parties(state: PureState) -> None:

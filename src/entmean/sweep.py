@@ -21,7 +21,14 @@ FAMILY_BUILDERS = {
     "c": make_family_c,
 }
 THREE_QUBIT_FAMILIES = frozenset({"a", "b"})
-MEASURE_COLUMNS = ("gbc", "gmc", "ggm", "fill")
+# column name -> measures function
+_MEASURE_FUNCTIONS = {
+    "gbc": "gbc",
+    "gmc": "gmc",
+    "ggm": "ggm",
+    "fill": "concurrence_fill",
+}
+MEASURE_COLUMNS = tuple(_MEASURE_FUNCTIONS)
 
 _PLATEAU_TOL = 1e-12
 _SLOPE_EPS = 1e-15
@@ -40,15 +47,15 @@ def family_state(family: str, theta: float) -> PureState:
 
 def measure_value(state: PureState, name: str) -> float:
     """Evaluate one measure by column name."""
-    if name == "gbc":
-        return measures.gbc(state)
-    if name == "gmc":
-        return measures.gmc(state)
-    if name == "ggm":
-        return measures.ggm(state)
-    if name == "fill":
-        return measures.concurrence_fill(state)
-    raise ValueError(f"unknown measure {name!r}, expected one of {MEASURE_COLUMNS}")
+    try:
+        function = _MEASURE_FUNCTIONS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown measure {name!r}, expected one of {MEASURE_COLUMNS}"
+        ) from None
+    # looked up on the module at call time, so wrappers installed there
+    # (profilers, tracers) also see the evaluations made here
+    return getattr(measures, function)(state)
 
 
 @dataclass(frozen=True)

@@ -329,19 +329,19 @@ def test_criterion_8_property_suites(tmp_path):
     for _ in range(20):
         state = haar_state([2, 2, 2, 2], rng)
         for part in em.enumerate_bipartitions(4):
-            block = em.reshape(state, part).matrix
+            block = em.reshape(state, part)
             rows_gram = block @ block.conj().T
             cols_gram = block.conj().T @ block
             p_rows = float(np.trace(rows_gram @ rows_gram).real)
             p_cols = float(np.trace(cols_gram @ cols_gram).real)
             side_gap = max(side_gap, abs(p_rows - p_cols))
-            lam = em.schmidt_spectrum(state, part).lambdas_sq
+            lam = em.schmidt_weights(state, part)
             dual_gap = max(
                 dual_gap, abs(em.reduced_purity(state, part) - float(np.sum(lam**2)))
             )
 
     counts_ok = all(
-        em.enumerate_bipartitions(n).cardinality
+        len(em.enumerate_bipartitions(n))
         == em.cardinality_formula(n)
         == 2 ** (n - 1) - 1
         for n in range(2, 21)

@@ -51,16 +51,16 @@ class TestBipartition:
 class TestEnumeration:
     def test_n3_exact(self):
         parts = enumerate_bipartitions(3)
-        assert parts.cardinality == 3
+        assert len(parts) == 3
         assert [p.label for p in parts] == ["0|12", "01|2", "02|1"]
 
     def test_n4_count(self):
-        assert enumerate_bipartitions(4).cardinality == 7
+        assert len(enumerate_bipartitions(4)) == 7
 
     def test_n2_single_cut(self):
         parts = enumerate_bipartitions(2)
-        assert parts.cardinality == 1
-        assert parts.partitions[0].label == "0|1"
+        assert len(parts) == 1
+        assert parts[0].label == "0|1"
 
     def test_no_complement_appears(self):
         for n in (3, 4, 5, 6):
@@ -72,7 +72,7 @@ class TestEnumeration:
         assert enumerate_bipartitions(5) == enumerate_bipartitions(5)
 
     def test_sorted_by_size_then_mask(self):
-        parts = enumerate_bipartitions(5).partitions
+        parts = enumerate_bipartitions(5)
         keys = [(p.size_a, p.subset_a) for p in parts]
         assert keys == sorted(keys)
 
@@ -92,7 +92,7 @@ class TestCardinalityFormula:
         for n in range(2, 21):
             count = cardinality_formula(n)
             assert count == 2 ** (n - 1) - 1
-            assert enumerate_bipartitions(n).cardinality == count
+            assert len(enumerate_bipartitions(n)) == count
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestCardinalityFormula:
 @given(st.integers(min_value=2, max_value=12))
 def test_enumeration_properties(n):
     parts = enumerate_bipartitions(n)
-    assert parts.cardinality == cardinality_formula(n) == 2 ** (n - 1) - 1
+    assert len(parts) == cardinality_formula(n) == 2 ** (n - 1) - 1
     seen = set()
     for p in parts:
         assert p.subset_a & 1, "canonical side must contain party 0"

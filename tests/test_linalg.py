@@ -12,14 +12,14 @@ from entmean import (
     make_w,
     reduced_purity,
     reshape,
-    schmidt_spectrum,
+    schmidt_weights,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def _gram_purity(state, part, side="rows"):
-    matrix = reshape(state, part).matrix
+    matrix = reshape(state, part)
     gram = matrix @ matrix.conj().T if side == "rows" else matrix.conj().T @ matrix
     return float(np.trace(gram @ gram).real)
 
@@ -27,28 +27,28 @@ def _gram_purity(state, part, side="rows"):
 class TestReshape:
     def test_ghz3_one_vs_rest(self):
         block = reshape(make_ghz(3), Bipartition.from_parties([0], 3))
-        assert (block.rows, block.cols) == (2, 4)
+        assert block.shape == (2, 4)
         expected = np.zeros((2, 4), dtype=complex)
         expected[0, 0] = expected[1, 3] = INV_SQRT2
-        np.testing.assert_allclose(block.matrix, expected, atol=0)
+        np.testing.assert_allclose(block, expected, atol=0)
 
     def test_w3_two_vs_one(self):
         block = reshape(make_w(3), Bipartition.from_parties([0, 1], 3))
-        assert (block.rows, block.cols) == (4, 2)
+        assert block.shape == (4, 2)
         expected = np.zeros((4, 2), dtype=complex)
         expected[0, 1] = expected[1, 0] = expected[2, 0] = 1 / math.sqrt(3)
-        np.testing.assert_allclose(block.matrix, expected, atol=0)
+        np.testing.assert_allclose(block, expected, atol=0)
 
     def test_product_state_rank_one(self):
         block = reshape(basis_state([2, 2], [0, 0]), Bipartition.from_parties([0], 2))
-        assert np.linalg.matrix_rank(block.matrix) == 1
+        assert np.linalg.matrix_rank(block) == 1
 
     def test_frobenius_norm_preserved(self):
         rng = np.random.default_rng(3)
         state = haar_state([2, 3, 2], rng)
         for part in (Bipartition.from_parties([0], 3), Bipartition.from_parties([0, 2], 3)):
             block = reshape(state, part)
-            assert np.linalg.norm(block.matrix) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(block) == pytest.approx(1.0, abs=1e-12)
 
     def test_party_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ class TestReshape:
         # |0,2> over dims (2,3): row 0 / column 2 of the 2x3 block
         state = basis_state([2, 3], [0, 2])
         block = reshape(state, Bipartition.from_parties([0], 2))
-        assert block.matrix[0, 2] == 1.0
+        assert block[0, 2] == 1.0
 
 
 class TestReducedPurity:
@@ -83,18 +83,18 @@ class TestReducedPurity:
 
 class TestSchmidtSpectrum:
     def test_ghz3(self):
-        spec = schmidt_spectrum(make_ghz(3), Bipartition.from_parties([0], 3))
-        np.testing.assert_allclose(spec.lambdas_sq, [0.5, 0.5], atol=1e-12)
+        lam = schmidt_weights(make_ghz(3), Bipartition.from_parties([0], 3))
+        np.testing.assert_allclose(lam, [0.5, 0.5], atol=1e-12)
 
     def test_w3(self):
-        spec = schmidt_spectrum(make_w(3), Bipartition.from_parties([0], 3))
-        np.testing.assert_allclose(spec.lambdas_sq, [2 / 3, 1 / 3], atol=1e-12)
+        lam = schmidt_weights(make_w(3), Bipartition.from_parties([0], 3))
+        np.testing.assert_allclose(lam, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_basis_state(self):
-        spec = schmidt_spectrum(
+        lam = schmidt_weights(
             basis_state([2, 2, 2], [0, 0, 0]), Bipartition.from_parties([0], 3)
         )
-        np.testing.assert_allclose(spec.lambdas_sq, [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(lam, [1.0, 0.0], atol=1e-14)
 
     def test_shape_and_ordering(self):
         rng = np.random.default_rng(11)
@@ -103,7 +103,7 @@ class TestSchmidtSpectrum:
             Bipartition.from_parties([0], 4),
             Bipartition.from_parties([0, 3], 4),
         ):
-            lam = schmidt_spectrum(state, part).lambdas_sq
+            lam = schmidt_weights(state, part)
             d_a, d_b = part.side_dims(state.dims)
             assert lam.shape == (min(d_a, d_b),)
             assert np.all(np.diff(lam) <= 0)
@@ -133,7 +133,7 @@ class TestDualPaths:
             Bipartition.from_parties([0, 1], 5),
             Bipartition.from_parties([0, 2, 4], 5),
         ):
-            lam = schmidt_spectrum(state, part).lambdas_sq
+            lam = schmidt_weights(state, part)
             assert abs(reduced_purity(state, part) - float(np.sum(lam**2))) <= 1e-10
 
     def test_linear_entropy_matches_purity_on_mixed_cuts(self):
@@ -141,7 +141,7 @@ class TestDualPaths:
         for _ in range(10):
             state = haar_state([2, 2, 2], rng)
             part = Bipartition.from_parties([0], 3)
-            le = linear_entropy(state, part)
+            le = linear_entropy(schmidt_weights(state, part))
             assert abs(le - (1.0 - reduced_purity(state, part))) <= 1e-12
 
     def test_linear_entropy_resolves_product_cut(self):
@@ -150,7 +150,7 @@ class TestDualPaths:
         rng = np.random.default_rng(37)
         part = Bipartition.from_parties([0, 1], 4)
         state = embed_product(haar_state([2, 2], rng), haar_state([2, 2], rng), part)
-        assert linear_entropy(state, part) <= 1e-25
+        assert linear_entropy(schmidt_weights(state, part)) <= 1e-25
 
     def test_local_unitary_leaves_purity(self):
         rng = np.random.default_rng(41)

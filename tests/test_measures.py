@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from entmean import (
     make_w,
     permute_parties,
 )
+import entmean
 from entmean.closedform import gbc_ghz, gbc_w
 
 W3_CUT = 2.0 * math.sqrt(2.0) / 3.0
@@ -205,6 +207,48 @@ class TestFullReport:
         reg = full_report(state)
         # the 2-vs-2 cuts differ by the constant sqrt(4/6) under Eq-style scaling
         assert plain.gbc > reg.gbc
+
+
+class TestOnePass:
+    """Each measure enumerates the cuts once and decomposes each cut once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        enumerate_ = entmean.bipartitions.enumerate_bipartitions
+        counted = counting("enumerate", enumerate_)
+        for module in (entmean, entmean.bipartitions, entmean.linalg, entmean.measures):
+            if vars(module).get("enumerate_bipartitions") is enumerate_:
+                monkeypatch.setattr(module, "enumerate_bipartitions", counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            haar_state([2, 2, 2], np.random.default_rng(47)),
+            make_w(4),
+            haar_state([3, 2, 2, 2], np.random.default_rng(53)),
+        ],
+        ids=["haar-222", "w4", "haar-3222"],
+    )
+    def test_each_measure_decomposes_every_cut_once(self, state, calls):
+        functions = [full_report, gbc, gmc, ggm]
+        if state.dims == (2, 2, 2):
+            functions.append(concurrence_fill)
+        n_cuts = 2 ** (state.n_parties - 1) - 1
+        for function in functions:
+            calls.clear()
+            function(state)
+            assert calls == {"enumerate": 1, "svd": n_cuts}, function.__name__
 
 
 class TestMeasureProperties:
