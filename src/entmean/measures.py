@@ -20,8 +20,7 @@ from .bipartitions import Bipartition
 from .linalg import cut_spectra, linear_entropy, schmidt_weights
 from .states import PureState
 
-# Any concurrence below this is treated as an exactly vanishing cut, so a
-# biseparable state yields gbc == 0.0 rather than a denormal root.
+# A cut whose concurrence is below this is a product cut; see _biseparable.
 ZERO_CUT_TOL = 1e-12
 
 _FILL_NORMALIZATION = 16.0 / 3.0
@@ -55,12 +54,21 @@ def gbc(state: PureState, regularized: bool = True) -> float:
 
 def gmc(state: PureState, regularized: bool = True) -> float:
     """Minimum bipartite concurrence over every bipartition."""
-    return min(_concurrences(_spectra(state), regularized))
+    return _gmc(_concurrences(_spectra(state), regularized))
 
 
 def ggm(state: PureState) -> float:
     """One minus the largest squared Schmidt coefficient over all cuts."""
-    return _ggm(_spectra(state))
+    spectra = _spectra(state)
+    # A product cut has its second weight below ZERO_CUT_TOL, because the
+    # linear entropy is at least 2 w0 w1 >= 2 w1 / d_min; only those cuts
+    # need their concurrence.
+    suspects = [
+        _concurrence(weights, regularized=True)
+        for _, weights in spectra
+        if weights[1] < ZERO_CUT_TOL
+    ]
+    return _ggm(spectra, suspects)
 
 
 def concurrence_fill(state: PureState) -> float:
@@ -121,8 +129,8 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
         product_p=product,
         cardinality=len(spectra),
         gbc=mean,
-        gmc=min(values),
-        ggm=_ggm(spectra),
+        gmc=_gmc(values),
+        ggm=_ggm(spectra, values),
         fill=_fill(spectra) if state.dims == (2, 2, 2) else None,
     )
 
@@ -145,21 +153,39 @@ def _concurrences(spectra, regularized: bool) -> list[float]:
     return [_concurrence(weights, regularized) for _, weights in spectra]
 
 
+def _biseparable(values) -> bool:
+    """The product-cut rule, applied by every measure.
+
+    A cut whose concurrence is below ZERO_CUT_TOL is a product cut, so the
+    state is biseparable and gbc, gmc, ggm and the fill are exactly 0.0
+    rather than round-off.
+    """
+    return any(v < ZERO_CUT_TOL for v in values)
+
+
 def _geometric_mean(values) -> float:
-    if any(v < ZERO_CUT_TOL for v in values):
+    if _biseparable(values):
         return 0.0
     # fsum over the canonical cut order: reproducible bit-for-bit and
     # insensitive to accumulation order.
     return math.exp(math.fsum(map(math.log, values)) / len(values))
 
 
-def _ggm(spectra) -> float:
+def _gmc(values) -> float:
+    return 0.0 if _biseparable(values) else min(values)
+
+
+def _ggm(spectra, values) -> float:
+    if _biseparable(values):
+        return 0.0
     return max(0.0, 1.0 - max(float(weights[0]) for _, weights in spectra))
 
 
 def _fill(spectra) -> float:
     # canonical three-qubit order 0|12, 01|2, 02|1: party k alone is cut 0, 2, 1
     c0, c2, c1 = _concurrences(spectra, regularized=True)
+    if _biseparable((c0, c1, c2)):
+        return 0.0
     sides = [c0**2, c1**2, c2**2]
     for i in range(3):
         others = sides[(i + 1) % 3] + sides[(i + 2) % 3]

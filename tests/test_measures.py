@@ -209,6 +209,27 @@ class TestFullReport:
         assert plain.gbc > reg.gbc
 
 
+class TestProductCutRule:
+    @pytest.mark.parametrize(
+        "dims", [(2, 2, 2), (2, 2, 2, 2), (3, 2, 2), (2, 3, 2, 2), (3, 3, 2, 2, 2)]
+    )
+    def test_biseparable_scores_exact_zero(self, dims):
+        # one product cut at every placement, parties shuffled afterwards
+        rng = np.random.default_rng(59)
+        n = len(dims)
+        for part in enumerate_bipartitions(n):
+            side_a = haar_state([dims[k] for k in part.parties_a], rng)
+            side_b = haar_state([dims[k] for k in part.parties_b], rng)
+            state = permute_parties(
+                embed_product(side_a, side_b, part), rng.permutation(n)
+            )
+            report = full_report(state)
+            assert gbc(state) == gmc(state) == ggm(state) == 0.0
+            assert (report.gbc, report.gmc, report.ggm) == (0.0, 0.0, 0.0)
+            if dims == (2, 2, 2):
+                assert concurrence_fill(state) == report.fill == 0.0
+
+
 class TestOnePass:
     """Each measure enumerates the cuts once and decomposes each cut once."""
 
