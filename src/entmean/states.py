@@ -46,7 +46,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({expected},)"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = _finite_norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}; "
@@ -114,7 +114,7 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
             f"amplitude vector has length {amps.shape[0]}, expected {expected} "
             f"for dims {tuple(dims)}"
         )
-    norm = float(np.linalg.norm(amps))
+    norm = _finite_norm(amps)
     if norm == 0.0:
         raise ValueError("zero vector cannot be normalized to a state")
     if abs(norm - 1.0) > CUSTOM_NORM_TOL and not renormalize:
@@ -123,6 +123,13 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
             "pass renormalize=True to rescale anyway"
         )
     return PureState(tuple(int(d) for d in dims), amps / norm)
+
+
+def _finite_norm(amps: np.ndarray) -> float:
+    """Euclidean norm of an amplitude vector that holds no NaN or infinity."""
+    if not np.isfinite(amps).all():
+        raise ValueError("non-finite amplitudes (NaN or infinity) cannot form a state")
+    return float(np.linalg.norm(amps))
 
 
 def make_ghz(n: int) -> PureState:

@@ -370,3 +370,54 @@ def test_criterion_8_property_suites(tmp_path):
     assert dual_gap <= 1e-10
     assert counts_ok
     assert deterministic
+
+
+def _ame_4_3():
+    """AME(4,3) from the orthogonal Latin square: |i, j, i+j, i+2j> mod 3."""
+    amps = np.zeros(81)
+    for i in range(3):
+        for j in range(3):
+            amps[27 * i + 9 * j + 3 * ((i + j) % 3) + (i + 2 * j) % 3] = 1.0 / 3.0
+    return em.make_custom([3, 3, 3, 3], amps)
+
+
+def _ame_5_2():
+    """AME(5,2): the logical |0> of the five-qubit code.
+
+    |00000> is projected onto the +1 eigenspace of the stabilizers XZZXI and
+    its cyclic shifts; it already is a +1 eigenstate of logical ZZZZZ.
+    """
+    paulis = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
+    vec = np.zeros(32)
+    vec[0] = 1.0
+    for shift in range(4):
+        word = "XZZXI"[-shift:] + "XZZXI"[:-shift]  # shift 0: "XZZXI" + ""
+        op = paulis[word[0]]
+        for letter in word[1:]:
+            op = np.kron(op, paulis[letter])
+        vec = 0.5 * (vec + op @ vec)
+    return em.make_custom([2] * 5, vec, renormalize=True)
+
+
+def test_criterion_9_ame_maxima():
+    # AME states are maximally mixed across every cut, so gbc and gmc reach
+    # 1 and ggm its ceiling 1 - 1/d, also after random local unitaries
+    rng = np.random.default_rng(97)
+    states = {
+        "Bell": (em.make_ghz(2), 2),
+        "GHZ3": (em.make_ghz(3), 2),
+        "AME(4,3)": (_ame_4_3(), 3),
+        "AME(5,2)": (_ame_5_2(), 2),
+    }
+    worst = {}
+    for name, (state, d) in states.items():
+        rotated = state
+        for party in range(state.n_parties):
+            rotated = em.apply_local_unitary(rotated, party, haar_unitary(d, rng))
+        worst[name] = max(
+            max(abs(em.gbc(s) - 1.0), abs(em.gmc(s) - 1.0), abs(em.ggm(s) - (1.0 - 1.0 / d)))
+            for s in (state, rotated)
+        )
+    ok = max(worst.values()) <= 1e-14
+    _report(9, ok, "; ".join(f"{name} off by {gap:.1e}" for name, gap in worst.items()))
+    assert ok, worst

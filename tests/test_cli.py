@@ -36,6 +36,12 @@ class TestMeasure:
         assert main(["measure", "--state-file", str(missing)]) == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_non_finite_state_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2, 2], "re": [NaN, 0, 0, 1]}')
+        assert main(["measure", "--state-file", str(path)]) == 2
+        assert "non-finite amplitudes" in capsys.readouterr().err
+
     def test_invalid_arity_exits_2(self, capsys):
         assert main(["measure", "--ghz", "1"]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,24 @@ class TestPureState:
         state = make_custom([2], [0.6, 0.8j])
         back = PureState.from_json_dict(state.to_json_dict())
         np.testing.assert_allclose(back.amplitudes, [0.6, 0.8j], atol=0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("re0, im0", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan)])
+    def test_every_entry_path_rejects(self, re0, im0):
+        amps = [complex(re0, im0), 0, 0, 1]
+        doc = {"dims": [2, 2], "re": [re0, 0, 0, 1], "im": [im0, 0, 0, 0]}
+        entries = [
+            lambda: PureState((2, 2), amps),
+            lambda: make_custom([2, 2], amps),
+            lambda: make_custom([2, 2], amps, renormalize=True),
+            lambda: PureState.from_json_dict(doc),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for entry in entries:
+                with pytest.raises(ValueError, match="non-finite amplitudes"):
+                    entry()
 
 
 class TestTransforms:
