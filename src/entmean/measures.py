@@ -20,7 +20,9 @@ from .bipartitions import Bipartition
 from .linalg import cut_spectra, linear_entropy, schmidt_weights
 from .states import PureState
 
-# A cut whose concurrence is below this is a product cut; see _biseparable.
+# The product-cut rule, applied by every measure through _biseparable: a cut
+# whose concurrence is below ZERO_CUT_TOL is a product cut, and then gbc, gmc,
+# ggm and the fill are exactly 0.0 rather than round-off.
 ZERO_CUT_TOL = 1e-12
 
 _FILL_NORMALIZATION = 16.0 / 3.0
@@ -38,7 +40,6 @@ def concurrence(
     plain prefactor 2; the two agree when the smaller side is a qubit and
     otherwise differ by the constant factor sqrt(d_min / (2 (d_min - 1))).
     """
-    _require_parties(state)
     return _concurrence(schmidt_weights(state, part), regularized)
 
 
@@ -49,20 +50,19 @@ def gbc(state: PureState, regularized: bool = True) -> float:
     factors never under- or overflows; returns exactly 0.0 as soon as any
     cut is a product cut.
     """
-    return _geometric_mean(_concurrences(_spectra(state), regularized))
+    return _geometric_mean(_concurrences(cut_spectra(state), regularized))
 
 
 def gmc(state: PureState, regularized: bool = True) -> float:
     """Minimum bipartite concurrence over every bipartition."""
-    return _gmc(_concurrences(_spectra(state), regularized))
+    return _gmc(_concurrences(cut_spectra(state), regularized))
 
 
 def ggm(state: PureState) -> float:
     """One minus the largest squared Schmidt coefficient over all cuts."""
-    spectra = _spectra(state)
-    # A product cut has its second weight below ZERO_CUT_TOL, because the
-    # linear entropy is at least 2 w0 w1 >= 2 w1 / d_min; only those cuts
-    # need their concurrence.
+    spectra = cut_spectra(state)
+    # only a cut with w1 < ZERO_CUT_TOL can be a product cut, since the
+    # linear entropy is at least 2 w0 w1 >= 2 w1 / d_min
     suspects = [
         _concurrence(weights, regularized=True)
         for _, weights in spectra
@@ -120,7 +120,7 @@ class MeasureReport:
 
 def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
     """Evaluate every applicable measure of one state from one spectral pass."""
-    spectra = _spectra(state)
+    spectra = cut_spectra(state)
     values = _concurrences(spectra, regularized)
     mean = _geometric_mean(values)
     product = 0.0 if mean == 0.0 else math.exp(math.fsum(map(math.log, values)))
@@ -133,11 +133,6 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
         ggm=_ggm(spectra, values),
         fill=_fill(spectra) if state.dims == (2, 2, 2) else None,
     )
-
-
-def _spectra(state: PureState):
-    _require_parties(state)
-    return cut_spectra(state)
 
 
 def _concurrence(weights, regularized: bool) -> float:
@@ -154,12 +149,6 @@ def _concurrences(spectra, regularized: bool) -> list[float]:
 
 
 def _biseparable(values) -> bool:
-    """The product-cut rule, applied by every measure.
-
-    A cut whose concurrence is below ZERO_CUT_TOL is a product cut, so the
-    state is biseparable and gbc, gmc, ggm and the fill are exactly 0.0
-    rather than round-off.
-    """
     return any(v < ZERO_CUT_TOL for v in values)
 
 
@@ -196,8 +185,3 @@ def _fill(spectra) -> float:
     q = 0.5 * sum(sides)
     heron = q * (q - sides[0]) * (q - sides[1]) * (q - sides[2])
     return (_FILL_NORMALIZATION * max(0.0, heron)) ** 0.25
-
-
-def _require_parties(state: PureState) -> None:
-    if state.n_parties < 2:
-        raise ValueError("entanglement measures need at least 2 parties")

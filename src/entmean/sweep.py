@@ -21,13 +21,8 @@ FAMILY_BUILDERS = {
     "c": make_family_c,
 }
 THREE_QUBIT_FAMILIES = frozenset({"a", "b"})
-# column name -> measures function
-_MEASURE_FUNCTIONS = {
-    "gbc": "gbc",
-    "gmc": "gmc",
-    "ggm": "ggm",
-    "fill": "concurrence_fill",
-}
+# column name -> name of the function in measures
+_MEASURE_FUNCTIONS = {"gbc": "gbc", "gmc": "gmc", "ggm": "ggm", "fill": "concurrence_fill"}
 MEASURE_COLUMNS = tuple(_MEASURE_FUNCTIONS)
 
 _PLATEAU_TOL = 1e-12
@@ -47,15 +42,11 @@ def family_state(family: str, theta: float) -> PureState:
 
 def measure_value(state: PureState, name: str) -> float:
     """Evaluate one measure by column name."""
-    try:
-        function = _MEASURE_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown measure {name!r}, expected one of {MEASURE_COLUMNS}"
-        ) from None
+    if name not in _MEASURE_FUNCTIONS:
+        raise ValueError(f"unknown measure {name!r}, expected one of {MEASURE_COLUMNS}")
     # looked up on the module at call time, so wrappers installed there
     # (profilers, tracers) also see the evaluations made here
-    return getattr(measures, function)(state)
+    return getattr(measures, _MEASURE_FUNCTIONS[name])(state)
 
 
 @dataclass(frozen=True)
