@@ -229,6 +229,11 @@ class TestProductCutRule:
             if dims == (2, 2, 2):
                 assert concurrence_fill(state) == report.fill == 0.0
 
+    def test_round_off_product_cut_scores_exact_zero(self):
+        # cos(pi/2) = 6e-17 leaves every cut at round-off, not at exactly 0
+        report = full_report(make_family_b(math.pi / 2))
+        assert (report.gbc, report.gmc, report.ggm, report.fill) == (0.0,) * 4
+
 
 class TestOnePass:
     """Each measure enumerates the cuts once and decomposes each cut once."""
