@@ -61,16 +61,6 @@ class Bipartition:
             mask |= 1 << p
         return cls(mask, n_parties)
 
-    def side_dims(self, dims) -> tuple[int, int]:
-        """(d_A, d_B): products of the local dimensions on each side."""
-        if len(dims) != self.n_parties:
-            raise ValueError(
-                f"dims has {len(dims)} entries, bipartition expects {self.n_parties}"
-            )
-        d_a = math.prod(dims[k] for k in self.parties_a)
-        d_b = math.prod(dims[k] for k in self.parties_b)
-        return d_a, d_b
-
     @property
     def label(self) -> str:
         """Text form like "02|1"; indices are comma-separated past party 9."""

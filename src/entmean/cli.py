@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 invalid arguments, 1 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -21,6 +20,7 @@ from .closedform import closed_form_table
 from .measures import full_report
 from .states import PureState, make_ghz, make_w
 from .sweep import (
+    FAMILY_BUILDERS,
     SweepSpec,
     emit_closed_form_csv,
     emit_csv,
@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.set_defaults(handler=_cmd_measure)
 
     sweep = sub.add_parser("sweep", help="theta sweep of one family")
-    sweep.add_argument("--family", required=True, choices=("a", "b", "c"))
+    families = sorted(FAMILY_BUILDERS)
+    sweep.add_argument("--family", required=True, choices=families)
     sweep.add_argument("--steps", type=int, default=201)
     sweep.add_argument(
         "--measures",
@@ -76,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     closed.set_defaults(handler=_cmd_closed_form)
 
     ordering = sub.add_parser("ordering", help="mine sweeps for ordering reversals")
-    ordering.add_argument("--family-x", required=True, choices=("a", "b", "c"))
-    ordering.add_argument("--family-y", required=True, choices=("a", "b", "c"))
+    ordering.add_argument("--family-x", required=True, choices=families)
+    ordering.add_argument("--family-y", required=True, choices=families)
     ordering.add_argument("--x", required=True, help="measure matched within tolerance")
     ordering.add_argument("--y", required=True, help="measure checked for separation")
     ordering.add_argument("--match-tol", type=float, default=1e-4)
@@ -151,7 +152,7 @@ def _cmd_ordering(args) -> int:
         "y": args.y,
         "match_tol": args.match_tol,
         "sep_min": args.sep_min,
-        "findings": [dataclasses.asdict(f) for f in findings],
+        "findings": [vars(f) for f in findings],
     }
     with open(args.out, "w", encoding="ascii", newline="") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)

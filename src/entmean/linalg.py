@@ -8,6 +8,8 @@ the two sides have very different sizes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bipartitions import Bipartition, enumerate_bipartitions
@@ -26,11 +28,10 @@ def reshape(state: PureState, part: Bipartition) -> np.ndarray:
             f"bipartition is over {part.n_parties} parties, "
             f"state has {state.n_parties}"
         )
-    d_a, d_b = part.side_dims(state.dims)
-    order = part.parties_a + part.parties_b
-    matrix = np.ascontiguousarray(
-        np.transpose(state.as_tensor(), order).reshape(d_a, d_b)
-    )
+    parties_a = part.parties_a
+    d_a = math.prod(state.dims[k] for k in parties_a)
+    order = parties_a + part.parties_b
+    matrix = np.transpose(state.as_tensor(), order).reshape(d_a, -1)
     matrix.setflags(write=False)
     return matrix
 

@@ -50,7 +50,7 @@ def gbc(state: PureState, regularized: bool = True) -> float:
     factors never under- or overflows; returns exactly 0.0 as soon as any
     cut is a product cut.
     """
-    return _geometric_mean(_concurrences(cut_spectra(state), regularized))
+    return _log_mean(_concurrences(cut_spectra(state), regularized))[0]
 
 
 def gmc(state: PureState, regularized: bool = True) -> float:
@@ -84,7 +84,7 @@ def concurrence_fill(state: PureState) -> float:
         raise ValueError(
             f"concurrence fill needs exactly 3 qubits, got dims {state.dims}"
         )
-    return _fill(cut_spectra(state))
+    return _fill(_concurrences(cut_spectra(state), regularized=True))
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,11 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
     """Evaluate every applicable measure of one state from one spectral pass."""
     spectra = cut_spectra(state)
     values = _concurrences(spectra, regularized)
-    mean = _geometric_mean(values)
-    product = 0.0 if mean == 0.0 else math.exp(math.fsum(map(math.log, values)))
+    mean, product = _log_mean(values)
+    fill = None
+    if state.dims == (2, 2, 2):
+        # the fill is always regularized
+        fill = _fill(values if regularized else _concurrences(spectra, True))
     return MeasureReport(
         per_bipartition=tuple((part, v) for (part, _), v in zip(spectra, values)),
         product_p=product,
@@ -131,7 +134,7 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
         gbc=mean,
         gmc=_gmc(values),
         ggm=_ggm(spectra, values),
-        fill=_fill(spectra) if state.dims == (2, 2, 2) else None,
+        fill=fill,
     )
 
 
@@ -152,12 +155,14 @@ def _biseparable(values) -> bool:
     return any(v < ZERO_CUT_TOL for v in values)
 
 
-def _geometric_mean(values) -> float:
+def _log_mean(values) -> tuple[float, float]:
+    """(geometric mean, product) of the concurrences from one sum of logs."""
     if _biseparable(values):
-        return 0.0
+        return 0.0, 0.0
     # fsum over the canonical cut order: reproducible bit-for-bit and
     # insensitive to accumulation order.
-    return math.exp(math.fsum(map(math.log, values)) / len(values))
+    log_sum = math.fsum(map(math.log, values))
+    return math.exp(log_sum / len(values)), math.exp(log_sum)
 
 
 def _gmc(values) -> float:
@@ -170,10 +175,11 @@ def _ggm(spectra, values) -> float:
     return max(0.0, 1.0 - max(float(weights[0]) for _, weights in spectra))
 
 
-def _fill(spectra) -> float:
-    # canonical three-qubit order 0|12, 01|2, 02|1: party k alone is cut 0, 2, 1
-    c0, c2, c1 = _concurrences(spectra, regularized=True)
-    if _biseparable((c0, c1, c2)):
+def _fill(values) -> float:
+    # regularized concurrences in the canonical three-qubit order 0|12, 01|2,
+    # 02|1: party k alone is cut 0, 2, 1
+    c0, c2, c1 = values
+    if _biseparable(values):
         return 0.0
     sides = [c0**2, c1**2, c2**2]
     for i in range(3):

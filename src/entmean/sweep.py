@@ -224,25 +224,25 @@ def find_ordering_reversals(
     ya = np.array([row.values[y] for row in rows_a])
     xb = np.array([row.values[x] for row in rows_b])
     yb = np.array([row.values[y] for row in rows_b])
-    matched = (np.abs(xa[:, None] - xb[None, :]) <= match_tol) & (
-        np.abs(ya[:, None] - yb[None, :]) >= sep_min
-    )
     findings = []
-    for i, j in np.argwhere(matched):
-        findings.append(
-            OrderingFinding(
-                kind="equal-x-different-y",
-                measure_x=x,
-                measure_y=y,
-                theta_pair=(rows_a[i].theta, rows_b[j].theta),
-                values={
-                    "x_a": float(xa[i]),
-                    "x_b": float(xb[j]),
-                    "y_a": float(ya[i]),
-                    "y_b": float(yb[j]),
-                },
+    # one row of the match at a time, so memory stays linear in the steps
+    for i in range(len(rows_a)):
+        matched = (np.abs(xa[i] - xb) <= match_tol) & (np.abs(ya[i] - yb) >= sep_min)
+        for j in np.flatnonzero(matched):
+            findings.append(
+                OrderingFinding(
+                    kind="equal-x-different-y",
+                    measure_x=x,
+                    measure_y=y,
+                    theta_pair=(rows_a[i].theta, rows_b[j].theta),
+                    values={
+                        "x_a": float(xa[i]),
+                        "x_b": float(xb[j]),
+                        "y_a": float(ya[i]),
+                        "y_b": float(yb[j]),
+                    },
+                )
             )
-        )
     findings.extend(_opposite_slope_intervals(rows_a, x, y))
     if rows_b is not rows_a:
         findings.extend(_opposite_slope_intervals(rows_b, x, y))

@@ -25,12 +25,6 @@ class TestBipartition:
         part = Bipartition.from_parties([0, 11], 12)
         assert part.label == "0,11|1,2,3,4,5,6,7,8,9,10"
 
-    def test_side_dims(self):
-        part = Bipartition.from_parties([0], 3)
-        assert part.side_dims((2, 3, 4)) == (2, 12)
-        with pytest.raises(ValueError):
-            part.side_dims((2, 2))
-
     def test_rejects_empty_and_full(self):
         with pytest.raises(ValueError):
             Bipartition(0, 3)

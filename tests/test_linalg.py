@@ -99,12 +99,10 @@ class TestSchmidtSpectrum:
     def test_shape_and_ordering(self):
         rng = np.random.default_rng(11)
         state = haar_state([2, 2, 2, 2], rng)
-        for part in (
-            Bipartition.from_parties([0], 4),
-            Bipartition.from_parties([0, 3], 4),
-        ):
-            lam = schmidt_weights(state, part)
-            d_a, d_b = part.side_dims(state.dims)
+        for side_a in ([0], [0, 3]):
+            lam = schmidt_weights(state, Bipartition.from_parties(side_a, 4))
+            d_a = math.prod(state.dims[k] for k in side_a)
+            d_b = math.prod(state.dims) // d_a
             assert lam.shape == (min(d_a, d_b),)
             assert np.all(np.diff(lam) <= 0)
             assert np.all(lam >= 0) and np.all(lam <= 1)

@@ -61,7 +61,7 @@ class TestConcurrence:
         for dims in [(2, 2, 2), (3, 3), (2, 3, 2), (4, 4)]:
             state = haar_state(list(dims), rng)
             part = Bipartition.from_parties([0], len(dims))
-            d_min = min(part.side_dims(dims))
+            d_min = min(dims[0], math.prod(dims[1:]))
             reg = concurrence(state, part)
             plain = concurrence(state, part, regularized=False)
             assert reg == pytest.approx(
@@ -236,7 +236,11 @@ class TestProductCutRule:
 
 
 class TestOnePass:
-    """Each measure enumerates the cuts once and decomposes each cut once."""
+    """Each measure enumerates the cuts once and decomposes each cut once.
+
+    A measure that reads concurrences also computes one linear entropy per
+    cut; ggm reads only the Schmidt weights of an entangled state.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -250,6 +254,11 @@ class TestOnePass:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(
+            entmean.measures,
+            "linear_entropy",
+            counting("entropy", entmean.measures.linear_entropy),
+        )
         enumerate_ = entmean.bipartitions.enumerate_bipartitions
         counted = counting("enumerate", enumerate_)
         for module in (entmean, entmean.bipartitions, entmean.linalg, entmean.measures):
@@ -274,7 +283,9 @@ class TestOnePass:
         for function in functions:
             calls.clear()
             function(state)
-            assert calls == {"enumerate": 1, "svd": n_cuts}, function.__name__
+            entropies = 0 if function is ggm else n_cuts
+            expected = Counter(enumerate=1, svd=n_cuts, entropy=entropies)
+            assert calls == expected, function.__name__
 
 
 class TestMeasureProperties:
@@ -318,7 +329,8 @@ class TestMeasureProperties:
 
 @st.composite
 def random_states(draw):
-    dims = draw(st.sampled_from([(2, 2), (2, 2, 2), (2, 3), (2, 2, 2, 2)]))
+    shapes = [(2, 2), (2, 2, 2), (2, 3), (2, 2, 2, 2), (3, 3), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
+    dims = draw(st.sampled_from(shapes))
     total = math.prod(dims)
     re = draw(
         st.lists(
@@ -348,3 +360,16 @@ def test_geometric_mean_dominance(state):
     g = gbc(state)
     assert gmc(state) <= g + 1e-12
     assert g <= max(values) + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_states(), st.booleans())
+def test_report_equals_standalone_measures(state, regularized):
+    report = full_report(state, regularized)
+    assert report.gbc == gbc(state, regularized)
+    assert report.gmc == gmc(state, regularized)
+    if state.dims == (2, 2, 2):
+        # the fill is regularized under either setting
+        assert report.fill == concurrence_fill(state)
+    if regularized:
+        assert report.ggm == ggm(state)

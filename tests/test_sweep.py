@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,15 @@ class TestFindPeak:
             find_peak(rows, "gbc")
 
 
+def synthetic_rows(family, xs, ys):
+    """Sweep rows on an evenly spaced theta grid with measures "x" and "y"."""
+    thetas = np.linspace(0.0, 1.0, len(xs))
+    return [
+        SweepRow(family, float(t), {"x": float(x), "y": float(y)})
+        for t, x, y in zip(thetas, xs, ys)
+    ]
+
+
 class TestOrderingReversals:
     def test_identical_sweeps_same_measure_empty(self):
         rows = run_sweep(SweepSpec(family="b", steps=51))
@@ -249,6 +259,56 @@ class TestOrderingReversals:
         # the interval spans the window between the gbc and gmc grid peaks
         assert lo == pytest.approx(0.8482, abs=1e-3)
         assert hi == pytest.approx(1.1938, abs=1e-3)
+
+    def test_pairs_equal_a_double_loop(self):
+        rng = np.random.default_rng(67)
+        # x clusters near multiples of 0.1, so |x_a - x_b| straddles match_tol
+        rows_a = synthetic_rows(
+            "a", rng.integers(0, 6, 60) / 10 + rng.uniform(0, 2e-4, 60), rng.uniform(size=60)
+        )
+        rows_b = synthetic_rows(
+            "b", rng.integers(0, 6, 57) / 10 + rng.uniform(0, 2e-4, 57), rng.uniform(size=57)
+        )
+        findings = find_ordering_reversals(
+            rows_a, rows_b, x="x", y="y", match_tol=1e-4, sep_min=0.3
+        )
+        pairs = [
+            (f.theta_pair, f.values) for f in findings if f.kind == "equal-x-different-y"
+        ]
+        expected = [
+            (
+                (ra.theta, rb.theta),
+                {
+                    "x_a": ra.values["x"],
+                    "x_b": rb.values["x"],
+                    "y_a": ra.values["y"],
+                    "y_b": rb.values["y"],
+                },
+            )
+            for ra in rows_a
+            for rb in rows_b
+            if abs(ra.values["x"] - rb.values["x"]) <= 1e-4
+            and abs(ra.values["y"] - rb.values["y"]) >= 0.3
+        ]
+        assert len(expected) > 20
+        assert pairs == expected
+
+    def test_match_memory_is_linear_in_steps(self):
+        # a dense steps x steps temporary alone would take 3000**2 * 8 B = 72 MB
+        rng = np.random.default_rng(61)
+        xa = np.sort(rng.uniform(size=3000))
+        xb = np.sort(rng.uniform(size=3000))
+        rows_a = synthetic_rows("a", xa, xa)
+        rows_b = synthetic_rows("b", xb, 1.0 - xb)
+        tracemalloc.start()
+        try:
+            findings = find_ordering_reversals(rows_a, rows_b, x="x", y="y", sep_min=0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pairs = [f for f in findings if f.kind == "equal-x-different-y"]
+        assert 100 <= len(pairs) <= 1000
+        assert peak < 16 * 2**20
 
     def test_finding_fields(self):
         rows_a = run_sweep(SweepSpec(family="a", steps=201))
