@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-MAX_N = 20  # bitmask enumeration cap, matches the dense-state limits
+MAX_N = 20  # bitmask enumeration cap; dense states stop at states.MAX_PARTIES
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,14 +35,6 @@ class Bipartition:
             object.__setattr__(self, "subset_a", full ^ a)
 
     @property
-    def subset_b(self) -> int:
-        return ((1 << self.n_parties) - 1) ^ self.subset_a
-
-    @property
-    def size_a(self) -> int:
-        return self.subset_a.bit_count()
-
-    @property
     def parties_a(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.n_parties) if self.subset_a >> k & 1)
 
@@ -64,13 +56,8 @@ class Bipartition:
     @property
     def label(self) -> str:
         """Text form like "02|1"; indices are comma-separated past party 9."""
-        if self.n_parties <= 10:
-            left = "".join(str(k) for k in self.parties_a)
-            right = "".join(str(k) for k in self.parties_b)
-        else:
-            left = ",".join(str(k) for k in self.parties_a)
-            right = ",".join(str(k) for k in self.parties_b)
-        return f"{left}|{right}"
+        sep = "" if self.n_parties <= 10 else ","
+        return f"{sep.join(map(str, self.parties_a))}|{sep.join(map(str, self.parties_b))}"
 
 
 def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:

@@ -16,13 +16,12 @@ import argparse
 import json
 import sys
 
-from .closedform import closed_form_table
+from .closedform import closed_form_table, emit_closed_form_csv
 from .measures import full_report
 from .states import PureState, make_ghz, make_w
 from .sweep import (
     FAMILY_BUILDERS,
     SweepSpec,
-    emit_closed_form_csv,
     emit_csv,
     emit_plotscript,
     find_ordering_reversals,

@@ -75,6 +75,14 @@ def closed_form_table(n_max: int) -> list[tuple[int, float, float, float]]:
     return table
 
 
+def emit_closed_form_csv(table, path) -> None:
+    """Write (n, gbc_ghz, gbc_w, ratio) rows as CSV."""
+    lines = ["n,gbc_ghz,gbc_w,ratio"]
+    lines += [f"{n},{g!r},{w!r},{ratio!r}" for n, g, w, ratio in table]
+    with open(path, "w", encoding="ascii", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def _row(n: int, factor) -> ClosedFormRow:
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")

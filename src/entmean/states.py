@@ -60,10 +60,6 @@ class PureState:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    @property
-    def dim_total(self) -> int:
-        return self.amplitudes.shape[0]
-
     def as_tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party (read-only view)."""
         return self.amplitudes.reshape(self.dims)
@@ -134,8 +130,8 @@ def _finite_norm(amps: np.ndarray) -> float:
 
 def make_ghz(n: int) -> PureState:
     """Equal superposition of |0...0> and |1...1> over n qubits."""
-    if n < 2:
-        raise ValueError(f"ghz construction needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_PARTIES:
+        raise ValueError(f"ghz construction needs 2 <= n <= {MAX_PARTIES}, got {n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState((2,) * n, amps)
@@ -143,8 +139,8 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Symmetric single-excitation state over n qubits."""
-    if n < 2:
-        raise ValueError(f"w construction needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_PARTIES:
+        raise ValueError(f"w construction needs 2 <= n <= {MAX_PARTIES}, got {n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     for k in range(n):
         amps[1 << k] = 1.0 / math.sqrt(n)

@@ -25,25 +25,32 @@ THREE_QUBIT_FAMILIES = frozenset({"a", "b"})
 _MEASURE_FUNCTIONS = {"gbc": "gbc", "gmc": "gmc", "ggm": "ggm", "fill": "concurrence_fill"}
 MEASURE_COLUMNS = tuple(_MEASURE_FUNCTIONS)
 
+# upper bound on SweepSpec.steps, so the grid, the mined findings and the
+# files written stay bounded for every CLI argument
+MAX_STEPS = 10_001
 _PLATEAU_TOL = 1e-12
 _SLOPE_EPS = 1e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _require_known(kind: str, name, known) -> None:
+    """Reject a family or measure name outside known, listing the known ones."""
+    if name not in known:
+        raise ValueError(f"unknown {kind} {name!r}, expected one of {known}") from None
+
+
 def family_state(family: str, theta: float) -> PureState:
     """State of one parameterized family at a given angle."""
     try:
-        return FAMILY_BUILDERS[family](theta)
+        build = FAMILY_BUILDERS[family]
     except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}, expected one of {sorted(FAMILY_BUILDERS)}"
-        ) from None
+        _require_known("family", family, sorted(FAMILY_BUILDERS))
+    return build(theta)
 
 
 def measure_value(state: PureState, name: str) -> float:
     """Evaluate one measure by column name."""
-    if name not in _MEASURE_FUNCTIONS:
-        raise ValueError(f"unknown measure {name!r}, expected one of {MEASURE_COLUMNS}")
+    _require_known("measure", name, MEASURE_COLUMNS)
     # looked up on the module at call time, so wrappers installed there
     # (profilers, tracers) also see the evaluations made here
     return getattr(measures, _MEASURE_FUNCTIONS[name])(state)
@@ -54,7 +61,8 @@ class SweepSpec:
     """Grid specification for one family sweep.
 
     measures defaults to every column applicable to the family; the fill
-    column is only defined for the three-qubit families.
+    column is only defined for the three-qubit families.  steps is capped
+    at MAX_STEPS.
     """
 
     family: str
@@ -64,33 +72,26 @@ class SweepSpec:
     measures: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILY_BUILDERS:
-            raise ValueError(
-                f"unknown family {self.family!r}, "
-                f"expected one of {sorted(FAMILY_BUILDERS)}"
-            )
+        _require_known("family", self.family, sorted(FAMILY_BUILDERS))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if not self.theta_min < self.theta_max:
             raise ValueError(
                 f"theta_min must be below theta_max, got "
                 f"[{self.theta_min}, {self.theta_max}]"
             )
-        if self.measures is None:
-            wanted = MEASURE_COLUMNS
-            if self.family not in THREE_QUBIT_FAMILIES:
-                wanted = tuple(m for m in wanted if m != "fill")
-            object.__setattr__(self, "measures", wanted)
-            return
-        chosen = tuple(self.measures)
+        three_qubit = self.family in THREE_QUBIT_FAMILIES
+        chosen = self.measures
+        if chosen is None:
+            chosen = [m for m in MEASURE_COLUMNS if three_qubit or m != "fill"]
+        chosen = tuple(chosen)
         if not chosen:
             raise ValueError("at least one measure is required")
         for name in chosen:
-            if name not in MEASURE_COLUMNS:
-                raise ValueError(
-                    f"unknown measure {name!r}, expected one of {MEASURE_COLUMNS}"
-                )
-        if "fill" in chosen and self.family not in THREE_QUBIT_FAMILIES:
+            _require_known("measure", name, MEASURE_COLUMNS)
+        if "fill" in chosen and not three_qubit:
             raise ValueError(
                 f"fill is defined for 3-qubit states only; "
                 f"family {self.family!r} is not 3-qubit"
@@ -220,10 +221,8 @@ def find_ordering_reversals(
     opposite-slope intervals of each individual sweep (x rising while y
     falls, or vice versa).  Passing the same list twice scans it once.
     """
-    xa = np.array([row.values[x] for row in rows_a])
-    ya = np.array([row.values[y] for row in rows_a])
-    xb = np.array([row.values[x] for row in rows_b])
-    yb = np.array([row.values[y] for row in rows_b])
+    xa, ya = _column(rows_a, x), _column(rows_a, y)
+    xb, yb = _column(rows_b, x), _column(rows_b, y)
     findings = []
     # one row of the match at a time, so memory stays linear in the steps
     for i in range(len(rows_a)):
@@ -249,39 +248,37 @@ def find_ordering_reversals(
     return findings
 
 
+def _column(rows: list[SweepRow], name: str) -> np.ndarray:
+    return np.array([row.values[name] for row in rows])
+
+
 def _opposite_slope_intervals(
     rows: list[SweepRow], x: str, y: str
 ) -> list[OrderingFinding]:
-    xs = np.array([row.values[x] for row in rows])
-    ys = np.array([row.values[y] for row in rows])
-    dx = np.diff(xs)
-    dy = np.diff(ys)
+    xs, ys = _column(rows, x), _column(rows, y)
+    dx, dy = np.diff(xs), np.diff(ys)
     opposite = ((dx > _SLOPE_EPS) & (dy < -_SLOPE_EPS)) | (
         (dx < -_SLOPE_EPS) & (dy > _SLOPE_EPS)
     )
-    findings = []
-    start = None
-    for i, flag in enumerate(list(opposite) + [False]):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            findings.append(
-                OrderingFinding(
-                    kind="opposite-slope-interval",
-                    measure_x=x,
-                    measure_y=y,
-                    theta_interval=(rows[start].theta, rows[i].theta),
-                    family=rows[0].family,
-                    values={
-                        "x_start": float(xs[start]),
-                        "x_end": float(xs[i]),
-                        "y_start": float(ys[start]),
-                        "y_end": float(ys[i]),
-                    },
-                )
-            )
-            start = None
-    return findings
+    # step k joins rows k and k + 1; the edges of the padded flags alternate
+    # run start (first row of a run) and run end (its last row)
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], opposite, [False]))))
+    return [
+        OrderingFinding(
+            kind="opposite-slope-interval",
+            measure_x=x,
+            measure_y=y,
+            theta_interval=(rows[start].theta, rows[end].theta),
+            family=rows[0].family,
+            values={
+                "x_start": float(xs[start]),
+                "x_end": float(xs[end]),
+                "y_start": float(ys[start]),
+                "y_end": float(ys[end]),
+            },
+        )
+        for start, end in zip(edges[0::2], edges[1::2])
+    ]
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
@@ -322,14 +319,6 @@ def emit_plotscript(rows: list[SweepRow], path, csv_path) -> None:
         f"plot \\\n  {plots}\n"
     )
     _write_text(path, script)
-
-
-def emit_closed_form_csv(table, path) -> None:
-    """Write (n, gbc_ghz, gbc_w, ratio) rows as CSV."""
-    lines = ["n,gbc_ghz,gbc_w,ratio"]
-    for n, g, w, ratio in table:
-        lines.append(f"{n},{g!r},{w!r},{ratio!r}")
-    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_text(path, text: str) -> None:

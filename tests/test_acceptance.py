@@ -105,8 +105,8 @@ def test_criterion_3_discriminance():
     for n in range(3, 6):
         for part in em.enumerate_bipartitions(n):
             for _ in range(2):
-                side_a = haar_state([2] * part.size_a, rng)
-                side_b = haar_state([2] * (n - part.size_a), rng)
+                side_a = haar_state([2] * len(part.parties_a), rng)
+                side_b = haar_state([2] * (n - len(part.parties_a)), rng)
                 corpus.append(embed_product(side_a, side_b, part))
     assert len(corpus) >= 50
     worst_zero = 0.0

@@ -14,8 +14,8 @@ class TestBipartition:
 
     def test_complement_and_size(self):
         part = Bipartition.from_parties([0, 2], 4)
-        assert part.subset_b == 0b1010
-        assert part.size_a == 2
+        assert part.subset_a ^ 0b1111 == 0b1010
+        assert part.subset_a.bit_count() == 2
 
     def test_label(self):
         assert Bipartition.from_parties([0, 2], 4).label == "02|13"
@@ -67,7 +67,7 @@ class TestEnumeration:
 
     def test_sorted_by_size_then_mask(self):
         parts = enumerate_bipartitions(5)
-        keys = [(p.size_a, p.subset_a) for p in parts]
+        keys = [(p.subset_a.bit_count(), p.subset_a) for p in parts]
         assert keys == sorted(keys)
 
     def test_arity_errors(self):
@@ -104,5 +104,6 @@ def test_enumeration_properties(n):
         assert 0 < p.subset_a < (1 << n) - 1
         assert p.subset_a not in seen
         seen.add(p.subset_a)
-        assert (p.subset_a | p.subset_b) == (1 << n) - 1
-        assert (p.subset_a & p.subset_b) == 0
+        subset_b = sum(1 << k for k in p.parties_b)
+        assert (p.subset_a | subset_b) == (1 << n) - 1
+        assert (p.subset_a & subset_b) == 0

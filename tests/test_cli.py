@@ -1,12 +1,18 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import entmean
 from entmean import make_w
 from entmean.cli import main
+from entmean.states import MAX_PARTIES
+from entmean.sweep import MAX_STEPS
 
 
 class TestMeasure:
@@ -45,6 +51,19 @@ class TestMeasure:
     def test_invalid_arity_exits_2(self, capsys):
         assert main(["measure", "--ghz", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--ghz", "--w"])
+    def test_beyond_dense_cap_exits_2_before_allocating(self, flag, monkeypatch, capsys):
+        real_zeros = np.zeros
+
+        def guarded_zeros(shape, *args, **kwargs):
+            if int(np.prod(shape)) > 2**MAX_PARTIES:
+                pytest.fail(f"allocated {shape} amplitudes beyond the dense cap")
+            return real_zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr("entmean.states.np.zeros", guarded_zeros)
+        assert main(["measure", flag, "40"]) == 2
+        assert f"<= {MAX_PARTIES}" in capsys.readouterr().err
 
     def test_source_required(self):
         with pytest.raises(SystemExit) as info:
@@ -86,6 +105,13 @@ class TestSweep:
         target = tmp_path / "missing-dir" / "x.csv"
         code = main(["sweep", "--family", "b", "--steps", "3", "--out", str(target)])
         assert code == 1
+
+    def test_steps_above_cap_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--family", "a", "--steps", str(MAX_STEPS + 1), "--out", str(out)])
+        assert code == 2
+        assert f"steps must be <= {MAX_STEPS}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_family_exits_2(self):
         with pytest.raises(SystemExit) as info:
@@ -131,11 +157,15 @@ class TestOrdering:
 
 
 def test_module_entry_point_runs():
+    # the child finds the package where this process found it, also when
+    # only pytest's pythonpath setting put it there
+    paths = [str(Path(entmean.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "entmean", "measure", "--ghz", "2", "--json"],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gbc"] == pytest.approx(1.0, abs=1e-12)

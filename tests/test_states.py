@@ -174,7 +174,7 @@ class TestPureState:
     def test_single_party_allowed(self):
         state = make_custom([5], [1, 0, 0, 0, 0])
         assert state.n_parties == 1
-        assert state.dim_total == 5
+        assert state.amplitudes.shape == (5,)
 
     def test_json_round_trip(self):
         state = make_w(3)

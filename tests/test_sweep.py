@@ -14,8 +14,8 @@ from entmean import (
     find_peak,
     run_sweep,
 )
-from entmean.closedform import closed_form_table
-from entmean.sweep import emit_closed_form_csv, family_state, measure_value
+from entmean.closedform import closed_form_table, emit_closed_form_csv
+from entmean.sweep import MAX_STEPS, family_state, measure_value
 
 BETA = 3.0 * math.pi / 5.0
 
@@ -103,6 +103,11 @@ class TestSweepSpec:
             SweepSpec(family="a", measures=("nope",))
         with pytest.raises(ValueError):
             SweepSpec(family="a", measures=())
+
+    def test_steps_capped(self):
+        assert SweepSpec(family="a", steps=MAX_STEPS).steps == MAX_STEPS
+        with pytest.raises(ValueError, match=f"steps must be <= {MAX_STEPS}"):
+            SweepSpec(family="a", steps=MAX_STEPS + 1)
 
     def test_family_state_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -292,6 +297,53 @@ class TestOrderingReversals:
         ]
         assert len(expected) > 20
         assert pairs == expected
+
+    def test_intervals_equal_a_plain_loop(self):
+        def plain_intervals(rows):
+            xs = [row.values["x"] for row in rows]
+            ys = [row.values["y"] for row in rows]
+            found, start = [], None
+            for i in range(len(rows)):
+                opposite = i + 1 < len(rows) and (xs[i + 1] - xs[i]) * (ys[i + 1] - ys[i]) < 0
+                if opposite and start is None:
+                    start = i
+                elif not opposite and start is not None:
+                    found.append(
+                        (
+                            (rows[start].theta, rows[i].theta),
+                            {"x_start": xs[start], "x_end": xs[i],
+                             "y_start": ys[start], "y_end": ys[i]},
+                        )
+                    )
+                    start = None
+            return found
+
+        def walk(family, dx_signs, dy_signs, rng):
+            # steps of at least 0.01 or exactly 0, far from the slope threshold
+            dx = np.multiply(dx_signs, rng.uniform(0.01, 0.1, len(dx_signs)))
+            dy = np.multiply(dy_signs, rng.uniform(0.01, 0.1, len(dy_signs)))
+            return synthetic_rows(family, np.cumsum([0.5, *dx]), np.cumsum([0.5, *dy]))
+
+        rng = np.random.default_rng(71)
+        sweeps = [
+            # runs over steps 0-1, 3 and 6-7: from row 0, one step, to the last row
+            walk("a", [1, 1, -1, 1, 1, 0, -1, -1], [-1, -1, -1, -1, 1, 1, 1, 1], rng),
+            # no opposite step at all, flat steps included
+            walk("b", [1, 1, 0, -1], [1, 0, 1, -1], rng),
+        ]
+        sweeps += [
+            walk("c", rng.integers(-1, 2, 40), rng.integers(-1, 2, 40), rng) for _ in range(30)
+        ]
+        for rows in sweeps:
+            findings = find_ordering_reversals(rows, rows, x="x", y="y", match_tol=-1.0)
+            assert all(f.kind == "opposite-slope-interval" for f in findings)
+            assert all(f.family == rows[0].family for f in findings)
+            got = [(f.theta_interval, f.values) for f in findings]
+            assert got == plain_intervals(rows)
+        thetas = [row.theta for row in sweeps[0]]
+        expected = [(thetas[i], thetas[j]) for i, j in [(0, 2), (3, 4), (6, 8)]]
+        assert [interval for interval, _ in plain_intervals(sweeps[0])] == expected
+        assert plain_intervals(sweeps[1]) == []
 
     def test_match_memory_is_linear_in_steps(self):
         # a dense steps x steps temporary alone would take 3000**2 * 8 B = 72 MB
