@@ -29,8 +29,6 @@ class Bipartition:
             raise ValueError(
                 f"subset {a:#b} is not a nonempty proper subset of {n} parties"
             )
-        if a & ~full:
-            raise ValueError(f"subset {a:#b} has bits beyond party {n - 1}")
         if not a & 1:
             object.__setattr__(self, "subset_a", full ^ a)
 
@@ -63,31 +61,30 @@ class Bipartition:
 def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All unordered splits of n parties, sorted by (size of A, mask value).
 
-    Masks containing party 0 enumerate each unordered pair exactly once,
-    which gives 2**(n-1) - 1 entries.
+    Masks containing party 0, which are exactly the odd ones, enumerate
+    each unordered pair once, which gives 2**(n-1) - 1 entries.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")
-    full = (1 << n) - 1
-    masks = sorted(
-        (m for m in range(1, full) if m & 1),
-        key=lambda m: (m.bit_count(), m),
-    )
+    masks = sorted(range(1, (1 << n) - 1, 2), key=lambda m: (m.bit_count(), m))
     return tuple(Bipartition(m, n) for m in masks)
 
 
-def cardinality_formula(n: int) -> int:
-    """Bipartition count as a sum of binomials over the size of side A.
+def cut_multiplicity(n: int, m: int) -> int:
+    """Number of unordered cuts of n parties whose smaller side has m parties.
 
-    Balanced splits of even n are counted at half multiplicity because A
-    and B of equal size describe the same unordered cut.  Equals
-    2**(n-1) - 1 for every n >= 2.
+    C(n, m), halved at a balanced split, where A and B of equal size name
+    the same unordered cut.
+    """
+    count = math.comb(n, m)
+    return count // 2 if 2 * m == n else count
+
+
+def cardinality_formula(n: int) -> int:
+    """Bipartition count as a sum of cut multiplicities over the smaller side.
+
+    Equals 2**(n-1) - 1 for every n >= 2.
     """
     if n < 2:
         raise ValueError(f"party count must be >= 2, got {n}")
-    if n % 2:
-        return sum(math.comb(n, m) for m in range(1, (n - 1) // 2 + 1))
-    return (
-        sum(math.comb(n, m) for m in range(1, (n - 2) // 2 + 1))
-        + math.comb(n, n // 2) // 2
-    )
+    return sum(cut_multiplicity(n, m) for m in range(1, n // 2 + 1))

@@ -138,10 +138,11 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_ordering(args) -> int:
     needed = tuple(dict.fromkeys((args.x, args.y)))
-    rows_x = run_sweep(SweepSpec(family=args.family_x, steps=args.steps, measures=needed))
-    rows_y = run_sweep(SweepSpec(family=args.family_y, steps=args.steps, measures=needed))
+    # one sweep per distinct family; the miner scans a repeated list once
+    rows = {f: run_sweep(SweepSpec(family=f, steps=args.steps, measures=needed))
+            for f in dict.fromkeys((args.family_x, args.family_y))}
     findings = find_ordering_reversals(
-        rows_x, rows_y, x=args.x, y=args.y,
+        rows[args.family_x], rows[args.family_y], x=args.x, y=args.y,
         match_tol=args.match_tol, sep_min=args.sep_min,
     )
     doc = {

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .bipartitions import cut_multiplicity
+
 MAX_N = 64
 
 
@@ -87,17 +89,11 @@ def _row(n: int, factor) -> ClosedFormRow:
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")
     terms = tuple(
-        (_multiplicity(n, m), factor(n, m)) for m in range(1, n // 2 + 1)
+        (cut_multiplicity(n, m), factor(n, m)) for m in range(1, n // 2 + 1)
     )
     log_product = math.fsum(mult * math.log(value) for mult, value in terms)
     cardinality = (1 << (n - 1)) - 1
     return ClosedFormRow(n, terms, log_product, math.exp(log_product / cardinality))
-
-
-def _multiplicity(n: int, m: int) -> int:
-    count = math.comb(n, m)
-    # A balanced split names each unordered cut twice.
-    return count // 2 if 2 * m == n else count
 
 
 def _check_split(n: int, m: int) -> None:

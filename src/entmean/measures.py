@@ -141,7 +141,7 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
 def _concurrence(weights, regularized: bool) -> float:
     # weights has min(d_A, d_B) entries
     d_min = len(weights)
-    mixedness = max(0.0, linear_entropy(weights))
+    mixedness = linear_entropy(weights)
     if regularized:
         return min(1.0, math.sqrt(d_min / (d_min - 1.0) * mixedness))
     return math.sqrt(2.0 * mixedness)

@@ -31,6 +31,8 @@ class PureState:
 
     def __post_init__(self) -> None:
         dims = tuple(int(d) for d in self.dims)
+        if dims != tuple(self.dims):
+            raise ValueError(f"local dimensions must be integers, got {tuple(self.dims)}")
         if not dims:
             raise ValueError("a state needs at least one party")
         if any(d < 2 for d in dims):
@@ -83,9 +85,9 @@ class PureState:
         try:
             dims = list(doc["dims"])
             re = np.asarray(doc["re"], dtype=np.float64)
+            im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"state document is missing field: {exc}") from exc
-        im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
         if re.shape != im.shape:
             raise ValueError(
                 f"re/im length mismatch: {re.shape} vs {im.shape}"
@@ -118,7 +120,7 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
             f"norm {norm!r} deviates from 1 beyond {CUSTOM_NORM_TOL}; "
             "pass renormalize=True to rescale anyway"
         )
-    return PureState(tuple(int(d) for d in dims), amps / norm)
+    return PureState(tuple(dims), amps / norm)
 
 
 def _finite_norm(amps: np.ndarray) -> float:

@@ -28,6 +28,9 @@ MEASURE_COLUMNS = tuple(_MEASURE_FUNCTIONS)
 # upper bound on SweepSpec.steps, so the grid, the mined findings and the
 # files written stay bounded for every CLI argument
 MAX_STEPS = 10_001
+# upper bound on the pair findings of one mining run: a tolerance every pair
+# meets would otherwise list about MAX_STEPS**2 of them
+MAX_FINDINGS = 250_000
 _PLATEAU_TOL = 1e-12
 _SLOPE_EPS = 1e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -220,6 +223,7 @@ def find_ordering_reversals(
     match_tol and |y_a - y_b| >= sep_min, followed by the maximal
     opposite-slope intervals of each individual sweep (x rising while y
     falls, or vice versa).  Passing the same list twice scans it once.
+    More than MAX_FINDINGS pair findings raise ValueError.
     """
     xa, ya = _column(rows_a, x), _column(rows_a, y)
     xb, yb = _column(rows_b, x), _column(rows_b, y)
@@ -242,9 +246,14 @@ def find_ordering_reversals(
                     },
                 )
             )
-    findings.extend(_opposite_slope_intervals(rows_a, x, y))
+        if len(findings) > MAX_FINDINGS:
+            raise ValueError(
+                f"more than {MAX_FINDINGS} findings with match_tol={match_tol!r} "
+                f"and sep_min={sep_min!r}; tighten the tolerances"
+            )
+    findings.extend(_opposite_slope_intervals(rows_a, x, y, xa, ya))
     if rows_b is not rows_a:
-        findings.extend(_opposite_slope_intervals(rows_b, x, y))
+        findings.extend(_opposite_slope_intervals(rows_b, x, y, xb, yb))
     return findings
 
 
@@ -253,9 +262,8 @@ def _column(rows: list[SweepRow], name: str) -> np.ndarray:
 
 
 def _opposite_slope_intervals(
-    rows: list[SweepRow], x: str, y: str
+    rows: list[SweepRow], x: str, y: str, xs: np.ndarray, ys: np.ndarray
 ) -> list[OrderingFinding]:
-    xs, ys = _column(rows, x), _column(rows, y)
     dx, dy = np.diff(xs), np.diff(ys)
     opposite = ((dx > _SLOPE_EPS) & (dy < -_SLOPE_EPS)) | (
         (dx < -_SLOPE_EPS) & (dy > _SLOPE_EPS)

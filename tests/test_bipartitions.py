@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmean import Bipartition, cardinality_formula, enumerate_bipartitions
+from entmean.bipartitions import cut_multiplicity
 
 
 class TestBipartition:
@@ -34,6 +35,11 @@ class TestBipartition:
     def test_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             Bipartition(0b1001, 3)
+
+    @pytest.mark.parametrize("party", [-1, 3])
+    def test_from_parties_rejects_out_of_range(self, party):
+        with pytest.raises(ValueError, match="out of range"):
+            Bipartition.from_parties([0, party], 3)
 
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError):
@@ -91,6 +97,14 @@ class TestCardinalityFormula:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             cardinality_formula(1)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_cut_multiplicity_counts_enumerated_cuts(self, n):
+        smaller = [
+            min(len(p.parties_a), len(p.parties_b)) for p in enumerate_bipartitions(n)
+        ]
+        for m in range(1, n // 2 + 1):
+            assert cut_multiplicity(n, m) == smaller.count(m)
 
 
 @settings(max_examples=40, deadline=None)

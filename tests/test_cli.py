@@ -48,6 +48,21 @@ class TestMeasure:
         assert main(["measure", "--state-file", str(path)]) == 2
         assert "non-finite amplitudes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"dims": [2.7, 2], "re": [1, 0, 0, 0]}', "must be integers, got (2.7, 2)"),
+            ('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": [{}, 0, 0, 0]}', "missing"),
+        ],
+    )
+    def test_malformed_state_file_exits_2(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main(["measure", "--state-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
     def test_invalid_arity_exits_2(self, capsys):
         assert main(["measure", "--ghz", "1"]) == 2
         assert "error" in capsys.readouterr().err
@@ -147,6 +162,45 @@ class TestOrdering:
         pairs = [f for f in doc["findings"] if f["kind"] == "equal-x-different-y"]
         assert pairs
         assert {"theta_pair", "values", "measure_x"} <= set(pairs[0])
+
+    def test_same_family_sweeps_once_and_lists_each_interval_once(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_run_sweep = entmean.cli.run_sweep
+
+        def counted(spec):
+            calls.append(spec.family)
+            return real_run_sweep(spec)
+
+        monkeypatch.setattr(entmean.cli, "run_sweep", counted)
+        out = tmp_path / "cc.json"
+        code = main(
+            ["ordering", "--family-x", "c", "--family-y", "c",
+             "--x", "gbc", "--y", "ggm", "--steps", "201", "--out", str(out)]
+        )
+        assert code == 0
+        assert calls == ["c"]
+        findings = json.loads(out.read_text())["findings"]
+        intervals = [
+            tuple(f["theta_interval"]) for f in findings
+            if f["kind"] == "opposite-slope-interval"
+        ]
+        assert len(intervals) == 1
+        assert len(findings) == 5
+
+    def test_findings_above_cap_exit_2_without_a_file(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(entmean.sweep, "MAX_FINDINGS", 50)
+        out = tmp_path / "all.json"
+        code = main(
+            ["ordering", "--family-x", "a", "--family-y", "b",
+             "--x", "gbc", "--y", "gmc", "--match-tol", "1", "--sep-min", "0",
+             "--steps", "21", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "more than 50 findings with match_tol=1.0 and sep_min=0.0" in err
 
     def test_fill_against_family_c_exits_2(self, tmp_path, capsys):
         code = main(

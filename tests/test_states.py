@@ -160,12 +160,49 @@ class TestMakeCustom:
         with pytest.raises(ValueError):
             make_custom([1, 4], [1, 0, 0, 0])
 
+    def test_rejects_two_dimensional_amplitudes(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            make_custom([2, 2], [[1, 0], [0, 0]])
+
 
 class TestPureState:
     def test_amplitudes_are_write_protected(self):
         state = make_ghz(3)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.5
+
+    def test_rejects_empty_dims(self):
+        with pytest.raises(ValueError, match="at least one party"):
+            PureState((), np.ones(1))
+
+    def test_rejects_more_than_max_parties(self):
+        # rejected on the dims alone, before the amplitudes are looked at
+        with pytest.raises(ValueError, match="capped at 14 parties"):
+            PureState((2,) * 15, np.ones(1))
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape"):
+            PureState((2, 2), np.ones(3) / math.sqrt(3))
+
+    def test_integral_float_dims_accepted(self):
+        for state in (
+            PureState((2.0, 2), [1, 0, 0, 0]),
+            make_custom([2.0, 2], [1, 0, 0, 0]),
+            PureState.from_json_dict({"dims": [2.0, 2], "re": [1, 0, 0, 0]}),
+        ):
+            assert state.dims == (2, 2)
+            assert all(type(d) is int for d in state.dims)
+
+    def test_every_entry_path_rejects_fractional_dims(self):
+        entries = [
+            lambda: PureState((2.7, 2), [1, 0, 0, 0]),
+            lambda: make_custom([2.7, 2], [1, 0, 0, 0]),
+            lambda: make_custom([2.7, 2], [1, 0, 0, 0], renormalize=True),
+            lambda: PureState.from_json_dict({"dims": [2.7, 2], "re": [1, 0, 0, 0]}),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match=r"must be integers, got \(2\.7, 2\)"):
+                entry()
 
     def test_constructor_rejects_denormalized(self):
         with pytest.raises(ValueError, match="norm"):
@@ -190,6 +227,14 @@ class TestPureState:
     def test_json_missing_field(self):
         with pytest.raises(ValueError, match="missing"):
             PureState.from_json_dict({"dims": [2]})
+
+    def test_json_re_im_length_mismatch(self):
+        with pytest.raises(ValueError, match="re/im length mismatch"):
+            PureState.from_json_dict({"dims": [2], "re": [0.6, 0.8], "im": [0.0]})
+
+    def test_json_malformed_im(self):
+        with pytest.raises(ValueError, match="missing"):
+            PureState.from_json_dict({"dims": [2, 2], "re": [1, 0, 0, 0], "im": [{}, 0, 0, 0]})
 
     def test_json_complex_preserved(self):
         state = make_custom([2], [0.6, 0.8j])
@@ -241,6 +286,11 @@ class TestTransforms:
     def test_local_nonunitary_rejected(self):
         with pytest.raises(ValueError):
             apply_local_unitary(make_ghz(2), 0, np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("party", [-1, 3])
+    def test_local_unitary_party_out_of_range(self, party):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_local_unitary(make_ghz(3), party, np.eye(2))
 
     def test_local_unitary_shape_check(self):
         with pytest.raises(ValueError):

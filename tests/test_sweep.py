@@ -15,6 +15,7 @@ from entmean import (
     run_sweep,
 )
 from entmean.closedform import closed_form_table, emit_closed_form_csv
+from entmean import sweep
 from entmean.sweep import MAX_STEPS, family_state, measure_value
 
 BETA = 3.0 * math.pi / 5.0
@@ -211,6 +212,19 @@ class TestFindPeak:
         assert peak.plateau
         assert peak.theta == pytest.approx(0.5, abs=1e-12)
 
+    def test_plateau_extends_left_of_the_first_maximum(self):
+        # the first maximum sits at the right end of the plateau; only the
+        # leftward scan finds the two near-equal rows before it
+        values = [0.2, 1.0 - 5e-13, 1.0 - 1e-13, 1.0, 0.5, 0.1]
+        rows = [
+            SweepRow("b", theta, {"gbc": v})
+            for theta, v in zip(np.linspace(0.0, 1.0, len(values)), values)
+        ]
+        peak = find_peak(rows, "gbc")
+        assert peak.plateau
+        assert peak.value == 1.0
+        assert peak.theta == pytest.approx(0.5 * (rows[1].theta + rows[3].theta), abs=1e-15)
+
     def test_needs_three_rows(self):
         rows = run_sweep(SweepSpec(family="b", steps=2))
         with pytest.raises(ValueError):
@@ -361,6 +375,28 @@ class TestOrderingReversals:
         pairs = [f for f in findings if f.kind == "equal-x-different-y"]
         assert 100 <= len(pairs) <= 1000
         assert peak < 16 * 2**20
+
+    def test_findings_capped_inside_the_row_loop(self, monkeypatch):
+        rows_a = synthetic_rows("a", np.zeros(20), np.zeros(20))
+        rows_b = synthetic_rows("b", np.zeros(30), np.ones(30))
+        # every one of the 20 x 30 pairs matches
+        findings = find_ordering_reversals(rows_a, rows_b, x="x", y="y", sep_min=0.5)
+        assert len(findings) == 600
+        monkeypatch.setattr(sweep, "MAX_FINDINGS", 600)
+        assert find_ordering_reversals(rows_a, rows_b, x="x", y="y", sep_min=0.5) == findings
+        built = []
+        real_finding = sweep.OrderingFinding
+
+        def counted(*args, **kwargs):
+            built.append(None)
+            return real_finding(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "OrderingFinding", counted)
+        monkeypatch.setattr(sweep, "MAX_FINDINGS", 100)
+        with pytest.raises(ValueError, match=r"100 findings with match_tol=1\.0 and sep_min=0\.0"):
+            find_ordering_reversals(rows_a, rows_b, x="x", y="y", match_tol=1.0, sep_min=0.0)
+        # the check runs after every row, so at most one row passes the cap
+        assert len(built) <= 100 + len(rows_b)
 
     def test_finding_fields(self):
         rows_a = run_sweep(SweepSpec(family="a", steps=201))
