@@ -92,7 +92,7 @@ def _row(n: int, factor) -> ClosedFormRow:
         (cut_multiplicity(n, m), factor(n, m)) for m in range(1, n // 2 + 1)
     )
     log_product = math.fsum(mult * math.log(value) for mult, value in terms)
-    cardinality = (1 << (n - 1)) - 1
+    cardinality = sum(mult for mult, _ in terms)
     return ClosedFormRow(n, terms, log_product, math.exp(log_product / cardinality))
 
 

@@ -72,8 +72,3 @@ def linear_entropy(weights: np.ndarray) -> float:
     prefix = np.concatenate(([0.0], np.cumsum(lam[:-1])))
     return float(2.0 * np.sum(lam * prefix))
 
-
-def reduced_purity(state: PureState, part: Bipartition) -> float:
-    """tr(rho_A^2) across the cut, computed from singular values."""
-    s = np.linalg.svd(reshape(state, part), compute_uv=False)
-    return min(1.0, float(np.sum(s**4)))

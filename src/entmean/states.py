@@ -30,7 +30,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(int(d) for d in self.dims)
+        except (TypeError, OverflowError, ValueError):
+            dims = None
         if dims != tuple(self.dims):
             raise ValueError(f"local dimensions must be integers, got {tuple(self.dims)}")
         if not dims:
@@ -46,7 +49,8 @@ class PureState:
         expected = math.prod(dims)
         if amps.shape != (expected,):
             raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected ({expected},)"
+                f"amplitude vector has shape {amps.shape}, expected length "
+                f"{expected} for dims {dims}"
             )
         norm = _finite_norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
@@ -106,12 +110,6 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1:
         raise ValueError(f"amplitudes must be one-dimensional, got shape {amps.shape}")
-    expected = math.prod(int(d) for d in dims)
-    if amps.shape[0] != expected:
-        raise ValueError(
-            f"amplitude vector has length {amps.shape[0]}, expected {expected} "
-            f"for dims {tuple(dims)}"
-        )
     norm = _finite_norm(amps)
     if norm == 0.0:
         raise ValueError("zero vector cannot be normalized to a state")

@@ -1,7 +1,7 @@
 """Theta sweeps over the parameterized families, peak location, ordering
 analysis, and CSV/gnuplot emission.
 
-Grids are deterministic (theta_i = theta_min + i * span / (steps - 1));
+Grids are deterministic (theta_i = i * (pi/2) / (steps - 1) on [0, pi/2]);
 identical specs produce byte-identical CSV files.
 """
 
@@ -31,6 +31,9 @@ MAX_STEPS = 10_001
 # upper bound on the pair findings of one mining run: a tolerance every pair
 # meets would otherwise list about MAX_STEPS**2 of them
 MAX_FINDINGS = 250_000
+_THETA_MAX = math.pi / 2.0
+# golden-section theta tolerance, far above the float spacing on [0, pi/2]
+_PEAK_TOL = 1e-6
 _PLATEAU_TOL = 1e-12
 _SLOPE_EPS = 1e-15
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,7 +64,7 @@ def measure_value(state: PureState, name: str) -> float:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid specification for one family sweep.
+    """Grid specification for one family sweep over theta in [0, pi/2].
 
     measures defaults to every column applicable to the family; the fill
     column is only defined for the three-qubit families.  steps is capped
@@ -69,8 +72,6 @@ class SweepSpec:
     """
 
     family: str
-    theta_min: float = 0.0
-    theta_max: float = math.pi / 2.0
     steps: int = 201
     measures: tuple[str, ...] | None = None
 
@@ -80,11 +81,6 @@ class SweepSpec:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
-        if not self.theta_min < self.theta_max:
-            raise ValueError(
-                f"theta_min must be below theta_max, got "
-                f"[{self.theta_min}, {self.theta_max}]"
-            )
         three_qubit = self.family in THREE_QUBIT_FAMILIES
         chosen = self.measures
         if chosen is None:
@@ -113,10 +109,9 @@ class SweepRow:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every requested measure over the deterministic theta grid."""
-    span = spec.theta_max - spec.theta_min
     rows = []
     for i in range(spec.steps):
-        theta = spec.theta_min + i * span / (spec.steps - 1)
+        theta = i * _THETA_MAX / (spec.steps - 1)
         report = measures.full_report(family_state(spec.family, theta))
         values = {name: getattr(report, name) for name in spec.measures}
         rows.append(SweepRow(spec.family, theta, values))
@@ -137,17 +132,19 @@ class PeakResult:
     plateau: bool = False
 
 
-def find_peak(rows: list[SweepRow], measure: str, tol: float = 1e-6) -> PeakResult:
+def find_peak(rows: list[SweepRow], measure: str) -> PeakResult:
     """Locate the maximizing theta of one measure column.
 
     The grid argmax is refined by golden-section search on the continuous
-    measure down to the requested theta tolerance; the bracketing from the
-    grid keeps this robust for the kinked peaks the min-based measures
-    produce.
+    measure down to 1e-6 in theta; the bracketing from the grid keeps this
+    robust for the kinked peaks the min-based measures produce.
     """
     if len(rows) < 3:
         raise ValueError(f"peak search needs at least 3 rows, got {len(rows)}")
+    _require_known("measure column", measure, tuple(rows[0].values))
     thetas = [row.theta for row in rows]
+    if not 0.0 <= min(thetas) <= max(thetas) <= _THETA_MAX:
+        raise ValueError(f"thetas must lie in [0, pi/2], got {min(thetas)}..{max(thetas)}")
     values = [row.values[measure] for row in rows]
     top = max(values)
     best = values.index(top)
@@ -168,16 +165,16 @@ def find_peak(rows: list[SweepRow], measure: str, tol: float = 1e-6) -> PeakResu
 
     lo = thetas[max(best - 1, 0)]
     hi = thetas[min(best + 1, len(rows) - 1)]
-    theta = _golden_max(objective, lo, hi, tol)
+    theta = _golden_max(objective, lo, hi)
     return PeakResult(theta=theta, value=objective(theta), plateau=False)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1 = f(x1)
     f2 = f(x2)
-    while hi - lo > tol:
+    while hi - lo > _PEAK_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)

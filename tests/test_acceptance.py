@@ -336,9 +336,7 @@ def test_criterion_8_property_suites(tmp_path):
             p_cols = float(np.trace(cols_gram @ cols_gram).real)
             side_gap = max(side_gap, abs(p_rows - p_cols))
             lam = em.schmidt_weights(state, part)
-            dual_gap = max(
-                dual_gap, abs(em.reduced_purity(state, part) - float(np.sum(lam**2)))
-            )
+            dual_gap = max(dual_gap, abs(p_rows - float(np.sum(lam**2))))
 
     counts_ok = all(
         len(em.enumerate_bipartitions(n))

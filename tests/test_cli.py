@@ -52,6 +52,8 @@ class TestMeasure:
         "doc, message",
         [
             ('{"dims": [2.7, 2], "re": [1, 0, 0, 0]}', "must be integers, got (2.7, 2)"),
+            ('{"dims": [null, 2], "re": [1, 0, 0, 0]}', "must be integers, got (None, 2)"),
+            ('{"dims": [Infinity, 2], "re": [1, 0, 0, 0]}', "must be integers, got (inf, 2)"),
             ('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": [{}, 0, 0, 0]}', "missing"),
         ],
     )

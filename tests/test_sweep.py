@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -81,10 +83,12 @@ def family_c_expect(theta):
 class TestSweepSpec:
     def test_defaults(self):
         spec = SweepSpec(family="b")
+        assert [f.name for f in dataclasses.fields(SweepSpec)] == ["family", "steps", "measures"]
         assert spec.steps == 201
-        assert spec.theta_min == 0.0
-        assert spec.theta_max == pytest.approx(math.pi / 2)
         assert spec.measures == ("gbc", "gmc", "ggm", "fill")
+        rows = run_sweep(spec)
+        assert rows[0].theta == 0.0
+        assert abs(rows[-1].theta - math.pi / 2) <= 1e-15
 
     def test_family_c_drops_fill_by_default(self):
         assert SweepSpec(family="c").measures == ("gbc", "gmc", "ggm")
@@ -98,8 +102,6 @@ class TestSweepSpec:
             SweepSpec(family="z")
         with pytest.raises(ValueError):
             SweepSpec(family="a", steps=1)
-        with pytest.raises(ValueError):
-            SweepSpec(family="a", theta_min=1.0, theta_max=1.0)
         with pytest.raises(ValueError):
             SweepSpec(family="a", measures=("nope",))
         with pytest.raises(ValueError):
@@ -229,6 +231,25 @@ class TestFindPeak:
         rows = run_sweep(SweepSpec(family="b", steps=2))
         with pytest.raises(ValueError):
             find_peak(rows, "gbc")
+
+    def test_missing_column_named(self):
+        rows = run_sweep(SweepSpec(family="c", steps=5))
+        with pytest.raises(
+            ValueError,
+            match=r"unknown measure column 'fill', expected one of \('gbc', 'gmc', 'ggm'\)",
+        ):
+            find_peak(rows, "fill")
+
+    def test_thetas_outside_the_family_range_rejected(self):
+        # far from 0 the float spacing exceeds the 1e-6 refinement, which
+        # would then never end
+        for thetas in ([-0.1, 0.0, 0.1], [1.5, 1.6, 1.7], [1e12, 1e12 + 1e6, 1e12 + 2e6]):
+            rows = [SweepRow("b", t, {"gbc": v}) for t, v in zip(thetas, [0.1, 0.5, 0.2])]
+            with pytest.raises(ValueError, match=r"thetas must lie in \[0, pi/2\]"):
+                find_peak(rows, "gbc")
+
+    def test_takes_rows_and_measure_only(self):
+        assert list(inspect.signature(find_peak).parameters) == ["rows", "measure"]
 
 
 def synthetic_rows(family, xs, ys):
