@@ -30,28 +30,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            dims = tuple(int(d) for d in self.dims)
-        except (TypeError, OverflowError, ValueError):
-            dims = None
-        if dims != tuple(self.dims):
-            raise ValueError(f"local dimensions must be integers, got {tuple(self.dims)}")
-        if not dims:
-            raise ValueError("a state needs at least one party")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"local dimensions must be >= 2, got {dims}")
-        if len(dims) > MAX_PARTIES:
-            raise ValueError(
-                f"dense amplitude storage is capped at {MAX_PARTIES} parties, "
-                f"got {len(dims)}"
-            )
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        expected = math.prod(dims)
-        if amps.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector has shape {amps.shape}, expected length "
-                f"{expected} for dims {dims}"
-            )
+        dims, amps = _checked_layout(self.dims, self.amplitudes)
         norm = _finite_norm(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(
@@ -107,9 +86,7 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
     norm; larger deviations raise unless renormalize=True.  A zero vector
     is always rejected.
     """
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 1:
-        raise ValueError(f"amplitudes must be one-dimensional, got shape {amps.shape}")
+    dims, amps = _checked_layout(dims, amplitudes)
     norm = _finite_norm(amps)
     if norm == 0.0:
         raise ValueError("zero vector cannot be normalized to a state")
@@ -118,7 +95,34 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
             f"norm {norm!r} deviates from 1 beyond {CUSTOM_NORM_TOL}; "
             "pass renormalize=True to rescale anyway"
         )
-    return PureState(tuple(dims), amps / norm)
+    return PureState(dims, amps / norm)
+
+
+def _checked_layout(raw_dims, amplitudes) -> tuple[tuple[int, ...], np.ndarray]:
+    """Integral dims and a complex copy of the amplitudes of length prod(dims)."""
+    try:
+        dims = tuple(int(d) for d in raw_dims)
+    except (TypeError, OverflowError, ValueError):
+        dims = None
+    if dims != tuple(raw_dims):
+        raise ValueError(f"local dimensions must be integers, got {tuple(raw_dims)}")
+    if not dims:
+        raise ValueError("a state needs at least one party")
+    if any(d < 2 for d in dims):
+        raise ValueError(f"local dimensions must be >= 2, got {dims}")
+    if len(dims) > MAX_PARTIES:
+        raise ValueError(
+            f"dense amplitude storage is capped at {MAX_PARTIES} parties, "
+            f"got {len(dims)}"
+        )
+    amps = np.array(amplitudes, dtype=np.complex128)
+    expected = math.prod(dims)
+    if amps.shape != (expected,):
+        raise ValueError(
+            f"amplitudes must be one-dimensional with length {expected} for dims "
+            f"{dims}, got shape {amps.shape}"
+        )
+    return dims, amps
 
 
 def _finite_norm(amps: np.ndarray) -> float:

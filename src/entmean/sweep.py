@@ -136,15 +136,13 @@ def find_peak(rows: list[SweepRow], measure: str) -> PeakResult:
     """Locate the maximizing theta of one measure column.
 
     The grid argmax is refined by golden-section search on the continuous
-    measure down to 1e-6 in theta; the bracketing from the grid keeps this
-    robust for the kinked peaks the min-based measures produce.
+    measure to 1e-6 in theta (or the float spacing, if coarser); bracketing
+    from the grid keeps this robust for the min-based measures' kinked peaks.
     """
     if len(rows) < 3:
         raise ValueError(f"peak search needs at least 3 rows, got {len(rows)}")
     _require_known("measure column", measure, tuple(rows[0].values))
     thetas = [row.theta for row in rows]
-    if not 0.0 <= min(thetas) <= max(thetas) <= _THETA_MAX:
-        raise ValueError(f"thetas must lie in [0, pi/2], got {min(thetas)}..{max(thetas)}")
     values = [row.values[measure] for row in rows]
     top = max(values)
     best = values.index(top)
@@ -174,7 +172,8 @@ def _golden_max(f, lo: float, hi: float) -> float:
     x2 = lo + _INVPHI * (hi - lo)
     f1 = f(x1)
     f2 = f(x2)
-    while hi - lo > _PEAK_TOL:
+    # probes strictly inside the bracket shrink it every step, so the loop ends
+    while hi - lo > _PEAK_TOL and lo < x1 < x2 < hi:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INVPHI * (hi - lo)

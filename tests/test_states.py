@@ -202,17 +202,29 @@ class TestPureState:
             (math.nan, "nan"),
             ([2], "[2]"),
         ]:
+            # unnormalized, so the dims must be checked before the norm
             entries = [
-                lambda: PureState((bad, 2), [1, 0, 0, 0]),
-                lambda: make_custom([bad, 2], [1, 0, 0, 0]),
-                lambda: make_custom([bad, 2], [1, 0, 0, 0], renormalize=True),
-                lambda: PureState.from_json_dict({"dims": [bad, 2], "re": [1, 0, 0, 0]}),
+                lambda: PureState((bad, 2), [3, 0, 0, 0]),
+                lambda: make_custom([bad, 2], [3, 0, 0, 0]),
+                lambda: make_custom([bad, 2], [3, 0, 0, 0], renormalize=True),
+                lambda: PureState.from_json_dict({"dims": [bad, 2], "re": [3, 0, 0, 0]}),
             ]
             for entry in entries:
                 with pytest.raises(
                     ValueError, match=rf"must be integers, got \({re.escape(shown)}, 2\)"
                 ):
                     entry()
+
+    def test_every_entry_path_names_a_length_mismatch(self):
+        # unnormalized, so the length must be checked before the norm
+        for entry in [
+            lambda: PureState((2, 2), [1, 1, 1]),
+            lambda: make_custom([2, 2], [1, 1, 1]),
+            lambda: make_custom([2, 2], [1, 1, 1], renormalize=True),
+            lambda: PureState.from_json_dict({"dims": [2, 2], "re": [1, 1, 1]}),
+        ]:
+            with pytest.raises(ValueError, match=r"length 4 for dims \(2, 2\), got shape \(3,\)"):
+                entry()
 
     def test_constructor_rejects_denormalized(self):
         with pytest.raises(ValueError, match="norm"):

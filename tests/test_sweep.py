@@ -240,13 +240,33 @@ class TestFindPeak:
         ):
             find_peak(rows, "fill")
 
-    def test_thetas_outside_the_family_range_rejected(self):
-        # far from 0 the float spacing exceeds the 1e-6 refinement, which
-        # would then never end
+    def test_accepts_every_sweep_grid(self):
+        # at 14 steps the last grid point rounds to one ulp above pi/2
+        assert run_sweep(SweepSpec(family="a", steps=14))[-1].theta > math.pi / 2
+        for steps in (14, 27, 48, MAX_STEPS):
+            rows = run_sweep(SweepSpec(family="a", steps=steps, measures=("gbc",)))
+            peak = find_peak(rows, "gbc")
+            assert 0.0 <= peak.theta <= rows[1].theta
+            assert peak.value == pytest.approx(1.0, abs=1e-10)
+
+    def test_hand_built_thetas_end_inside_their_bracket(self, monkeypatch):
+        # near 1e12 the float spacing (1.2e-4) exceeds the 1e-6 refinement;
+        # the search still ends, well within the evaluation budget below
+        calls = []
+
+        def counted(state, name):
+            calls.append(name)
+            if len(calls) > 500:
+                raise AssertionError("golden-section search did not end")
+            return measure_value(state, name)
+
+        monkeypatch.setattr(sweep, "measure_value", counted)
         for thetas in ([-0.1, 0.0, 0.1], [1.5, 1.6, 1.7], [1e12, 1e12 + 1e6, 1e12 + 2e6]):
+            calls.clear()
             rows = [SweepRow("b", t, {"gbc": v}) for t, v in zip(thetas, [0.1, 0.5, 0.2])]
-            with pytest.raises(ValueError, match=r"thetas must lie in \[0, pi/2\]"):
-                find_peak(rows, "gbc")
+            peak = find_peak(rows, "gbc")
+            assert thetas[0] <= peak.theta <= thetas[2]
+            assert 0.0 <= peak.value <= 1.0
 
     def test_takes_rows_and_measure_only(self):
         assert list(inspect.signature(find_peak).parameters) == ["rows", "measure"]
