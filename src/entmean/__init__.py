@@ -15,7 +15,6 @@ from .closedform import (
     w_concurrence_m,
 )
 from .linalg import (
-    cut_spectra,
     linear_entropy,
     reshape,
     schmidt_weights,
@@ -68,7 +67,6 @@ __all__ = [
     "closed_form_table",
     "concurrence",
     "concurrence_fill",
-    "cut_spectra",
     "emit_csv",
     "emit_plotscript",
     "enumerate_bipartitions",

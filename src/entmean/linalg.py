@@ -1,9 +1,15 @@
-"""Bipartite reshaping and the Schmidt spectra of a state's cuts.
+"""Bipartite reshaping, Schmidt spectra and the purity pass over a state's cuts.
 
-The partial trace never materializes a density matrix here: reshaping the
-amplitude vector across a cut and taking singular values yields the
-Schmidt spectrum directly, which is cheaper and numerically stabler when
-the two sides have very different sizes.
+Reshaping the amplitude vector across a cut gives a d_A x d_B matrix M.
+Its singular values squared are the Schmidt weights (schmidt_weights, the
+single-cut reference).  The measures need less than a spectrum: gbc and
+gmc read each cut's purity tr rho^2, which is ||G||_F^2 for the Gram
+matrix G = M M^dagger of the smaller side, and ggm reads only the largest
+weight over all cuts.  cut_entropies streams over the cuts with one GEMM
+each; it falls back to an SVD only on nearly pure cuts, where 1 - ||G||_F^2
+would lose the product cut's exact zero to cancellation, and runs an eigen
+solve only on a cut whose bound sqrt(P) >= lambda_max can still beat the
+largest weight found so far.
 """
 
 from __future__ import annotations
@@ -14,6 +20,12 @@ import numpy as np
 
 from .bipartitions import Bipartition, enumerate_bipartitions
 from .states import PureState
+
+# A cut whose Gram linear entropy 1 - ||G||_F^2 is below this is recomputed
+# by SVD.  The Gram value carries ~1e-16 absolute error, so past the guard
+# a concurrence sqrt(k L) is off by at most ~3e-15 / (2 sqrt(GRAM_GUARD)),
+# about 2e-13, inside the 1e-12 the tests hold it to.
+GRAM_GUARD = 1e-4
 
 
 def reshape(state: PureState, part: Bipartition) -> np.ndarray:
@@ -47,16 +59,48 @@ def schmidt_weights(state: PureState, part: Bipartition) -> np.ndarray:
     return weights
 
 
-def cut_spectra(state: PureState) -> tuple[tuple[Bipartition, np.ndarray], ...]:
-    """Every cut of the state, in canonical order, with its Schmidt weights.
+def cut_entropies(
+    state: PureState,
+) -> tuple[tuple[tuple[Bipartition, int, float], ...], float]:
+    """One pass over the cuts: ((part, d_min, linear entropy), ...) and max weight.
 
-    The cuts are enumerated once and each one is decomposed once; every
-    measure is an aggregate over this tuple.
+    The cuts come in canonical order, enumerated once.  Each cut's linear
+    entropy is 1 - P from its Gram purity P, unless that is below
+    GRAM_GUARD: then it is recomputed by SVD as cross terms, so a product
+    cut stays at round-off far below the product-cut threshold.  The
+    largest Schmidt weight over all cuts is exact to round-off: since
+    P <= lambda_max <= sqrt(P), a cut whose sqrt(P) does not exceed the
+    largest weight found so far cannot hold the maximum and is not solved.
     """
-    return tuple(
-        (part, schmidt_weights(state, part))
-        for part in enumerate_bipartitions(state.n_parties)
-    )
+    amplitudes = state.amplitudes
+    if not amplitudes.imag.any():
+        # real states (GHZ, W, the sweep families) take real GEMMs and solves;
+        # a contiguous copy, so every cut matrix has the same memory layout
+        amplitudes = amplitudes.real.copy()
+    tensor = amplitudes.reshape(state.dims)
+    dims = state.dims
+    rows = []
+    top = 0.0
+    for part in enumerate_bipartitions(state.n_parties):
+        side_a, side_b = part.parties_a, part.parties_b
+        d_a = math.prod(dims[k] for k in side_a)
+        d_b = tensor.size // d_a
+        if d_a > d_b:
+            side_a, side_b, d_a, d_b = side_b, side_a, d_b, d_a
+        # the smaller side indexes the rows
+        matrix = tensor.transpose(side_a + side_b).reshape(d_a, d_b)
+        gram = matrix @ matrix.conj().T
+        purity = np.vdot(gram, gram).real
+        mixedness = 1.0 - purity
+        if mixedness < GRAM_GUARD:
+            s = np.linalg.svd(matrix, compute_uv=False)
+            weights = s * s
+            mixedness = linear_entropy(weights)
+            top = max(top, weights[0])
+        elif math.sqrt(purity) > top:
+            top = max(top, np.linalg.eigvalsh(gram)[-1])
+        rows.append((part, d_a, float(mixedness)))
+    return tuple(rows), float(top)
 
 
 def linear_entropy(weights: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .bipartitions import Bipartition
-from .linalg import cut_spectra, linear_entropy, schmidt_weights
+from .linalg import cut_entropies, linear_entropy, schmidt_weights
 from .states import PureState
 
 # The product-cut rule, applied by every measure through _biseparable: a cut
@@ -40,7 +40,8 @@ def concurrence(
     plain prefactor 2; the two agree when the smaller side is a qubit and
     otherwise differ by the constant factor sqrt(d_min / (2 (d_min - 1))).
     """
-    return _concurrence(schmidt_weights(state, part), regularized)
+    weights = schmidt_weights(state, part)
+    return _concurrence(len(weights), linear_entropy(weights), regularized)
 
 
 def gbc(state: PureState, regularized: bool = True) -> float:
@@ -50,25 +51,18 @@ def gbc(state: PureState, regularized: bool = True) -> float:
     factors never under- or overflows; returns exactly 0.0 as soon as any
     cut is a product cut.
     """
-    return _log_mean(_concurrences(cut_spectra(state), regularized))[0]
+    return _log_mean(_concurrences(cut_entropies(state)[0], regularized))[0]
 
 
 def gmc(state: PureState, regularized: bool = True) -> float:
     """Minimum bipartite concurrence over every bipartition."""
-    return _gmc(_concurrences(cut_spectra(state), regularized))
+    return _gmc(_concurrences(cut_entropies(state)[0], regularized))
 
 
 def ggm(state: PureState) -> float:
     """One minus the largest squared Schmidt coefficient over all cuts."""
-    spectra = cut_spectra(state)
-    # only a cut with w1 < ZERO_CUT_TOL can be a product cut, since the
-    # linear entropy is at least 2 w0 w1 >= 2 w1 / d_min
-    suspects = [
-        _concurrence(weights, regularized=True)
-        for _, weights in spectra
-        if weights[1] < ZERO_CUT_TOL
-    ]
-    return _ggm(spectra, suspects)
+    rows, top = cut_entropies(state)
+    return _ggm(top, _concurrences(rows, regularized=True))
 
 
 def concurrence_fill(state: PureState) -> float:
@@ -84,7 +78,7 @@ def concurrence_fill(state: PureState) -> float:
         raise ValueError(
             f"concurrence fill needs exactly 3 qubits, got dims {state.dims}"
         )
-    return _fill(_concurrences(cut_spectra(state), regularized=True))
+    return _fill(_concurrences(cut_entropies(state)[0], regularized=True))
 
 
 @dataclass(frozen=True)
@@ -119,36 +113,33 @@ class MeasureReport:
 
 
 def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
-    """Evaluate every applicable measure of one state from one spectral pass."""
-    spectra = cut_spectra(state)
-    values = _concurrences(spectra, regularized)
+    """Evaluate every applicable measure of one state from one pass over the cuts."""
+    rows, top = cut_entropies(state)
+    values = _concurrences(rows, regularized)
     mean, product = _log_mean(values)
     fill = None
     if state.dims == (2, 2, 2):
         # the fill is always regularized
-        fill = _fill(values if regularized else _concurrences(spectra, True))
+        fill = _fill(values if regularized else _concurrences(rows, True))
     return MeasureReport(
-        per_bipartition=tuple((part, v) for (part, _), v in zip(spectra, values)),
+        per_bipartition=tuple((part, v) for (part, _, _), v in zip(rows, values)),
         product_p=product,
-        cardinality=len(spectra),
+        cardinality=len(rows),
         gbc=mean,
         gmc=_gmc(values),
-        ggm=_ggm(spectra, values),
+        ggm=_ggm(top, values),
         fill=fill,
     )
 
 
-def _concurrence(weights, regularized: bool) -> float:
-    # weights has min(d_A, d_B) entries
-    d_min = len(weights)
-    mixedness = linear_entropy(weights)
+def _concurrence(d_min: int, mixedness: float, regularized: bool) -> float:
     if regularized:
         return min(1.0, math.sqrt(d_min / (d_min - 1.0) * mixedness))
     return math.sqrt(2.0 * mixedness)
 
 
-def _concurrences(spectra, regularized: bool) -> list[float]:
-    return [_concurrence(weights, regularized) for _, weights in spectra]
+def _concurrences(rows, regularized: bool) -> list[float]:
+    return [_concurrence(d_min, mixedness, regularized) for _, d_min, mixedness in rows]
 
 
 def _biseparable(values) -> bool:
@@ -169,10 +160,11 @@ def _gmc(values) -> float:
     return 0.0 if _biseparable(values) else min(values)
 
 
-def _ggm(spectra, values) -> float:
+def _ggm(top: float, values) -> float:
+    # top: the largest Schmidt weight over all cuts
     if _biseparable(values):
         return 0.0
-    return max(0.0, 1.0 - max(float(weights[0]) for _, weights in spectra))
+    return max(0.0, 1.0 - top)
 
 
 def _fill(values) -> float:

@@ -66,7 +66,7 @@ class PureState:
         other tools are renormalized if they are off by at most 1e-9.
         """
         try:
-            dims = list(doc["dims"])
+            dims = doc["dims"]
             re = np.asarray(doc["re"], dtype=np.float64)
             im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
         except (KeyError, TypeError) as exc:
@@ -101,11 +101,15 @@ def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:
 def _checked_layout(raw_dims, amplitudes) -> tuple[tuple[int, ...], np.ndarray]:
     """Integral dims and a complex copy of the amplitudes of length prod(dims)."""
     try:
-        dims = tuple(int(d) for d in raw_dims)
+        given = tuple(raw_dims)
+    except TypeError:  # a scalar, not a sequence of dims
+        given = raw_dims
+    try:
+        dims = tuple(int(d) for d in given)
     except (TypeError, OverflowError, ValueError):
         dims = None
-    if dims != tuple(raw_dims):
-        raise ValueError(f"local dimensions must be integers, got {tuple(raw_dims)}")
+    if dims is None or dims != given:
+        raise ValueError(f"local dimensions must be integers, got {given}")
     if not dims:
         raise ValueError("a state needs at least one party")
     if any(d < 2 for d in dims):

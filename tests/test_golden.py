@@ -12,7 +12,8 @@ regenerate the manifest with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name every changed entry, and why, in CHANGES.md.
+which prints every entry whose hash changed, and name each of them, and
+why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -108,7 +109,11 @@ def test_output_matches_golden_hash(entry, generated):
 
 
 if __name__ == "__main__":
+    old = _load_manifest()["sha256"] if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         doc = {**_platform(), "sha256": _generate(Path(tmp))}
+    changed = [entry for entry, digest in doc["sha256"].items() if old.get(entry) != digest]
+    for entry in changed:
+        print(f"changed: {entry}")
     MANIFEST.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    print(f"wrote {len(doc['sha256'])} hashes to {MANIFEST}")
+    print(f"wrote {len(doc['sha256'])} hashes to {MANIFEST}; {len(changed)} changed")

@@ -3,16 +3,27 @@ import math
 import numpy as np
 import pytest
 from conftest import basis_state, embed_product, haar_state, haar_unitary
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entmean import (
     Bipartition,
     apply_local_unitary,
+    concurrence,
+    enumerate_bipartitions,
+    full_report,
+    gbc,
+    ggm,
+    gmc,
     linear_entropy,
+    make_custom,
     make_ghz,
     make_w,
     reshape,
     schmidt_weights,
 )
+from entmean.linalg import GRAM_GUARD, cut_entropies
+from entmean.measures import _concurrence
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -161,3 +172,91 @@ class TestDualPaths:
         for party in range(3):
             rotated = apply_local_unitary(state, party, haar_unitary(2, rng))
             assert abs(_spectrum_purity(rotated, part) - before) <= 1e-10
+
+
+def _svd_path(state):
+    """Reference for cut_entropies: every cut's concurrence and the largest weight."""
+    values, top = [], 0.0
+    for part in enumerate_bipartitions(state.n_parties):
+        values.append(concurrence(state, part))
+        top = max(top, float(schmidt_weights(state, part)[0]))
+    return values, top
+
+
+def _gram_path(state):
+    rows, top = cut_entropies(state)
+    return [_concurrence(d_min, mixedness, True) for _, d_min, mixedness in rows], top
+
+
+class TestCutEntropies:
+    @pytest.mark.parametrize(
+        "dims",
+        [[2] * n for n in range(2, 11)]
+        + [[3] * n for n in range(2, 7)]
+        + [[3, 2, 3, 2, 2, 3, 2], [2, 3, 3, 2, 3]],
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    def test_agrees_with_the_svd_path_on_haar_states(self, dims):
+        state = haar_state(dims, np.random.default_rng(len(dims) * 10 + dims[0]))
+        values, top = _gram_path(state)
+        ref_values, ref_top = _svd_path(state)
+        assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12
+        assert abs(top - ref_top) <= 1e-12
+        assert abs(ggm(state) - (1.0 - ref_top)) <= 1e-12
+
+    def test_rows_follow_the_canonical_cuts(self):
+        state = haar_state([3, 2, 2], np.random.default_rng(67))
+        rows, _ = cut_entropies(state)
+        assert [part for part, _, _ in rows] == list(enumerate_bipartitions(3))
+        assert [d_min for _, d_min, _ in rows] == [3, 2, 2]
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("builder", [make_ghz, make_w])
+    def test_same_size_cuts_share_one_value(self, builder, n):
+        by_size = {}
+        for part, value in full_report(builder(n)).per_bipartition:
+            size = min(len(part.parties_a), len(part.parties_b))
+            by_size.setdefault(size, set()).add(value)
+        assert all(len(values) == 1 for values in by_size.values()), by_size
+
+
+# 0|123 and 01|23 vanish at eps = 0; 0|123 sweeps its linear entropy
+# through GRAM_GUARD as eps grows
+_GUARD_CUT = Bipartition.from_parties([0], 4)
+
+
+def _near_product(eps):
+    rng = np.random.default_rng(71)
+    product = embed_product(
+        haar_state([2], rng), haar_state([2, 2, 2], rng), _GUARD_CUT
+    )
+    entangled = haar_state([2, 2, 2, 2], rng)
+    vec = math.cos(eps) * product.amplitudes + math.sin(eps) * entangled.amplitudes
+    return make_custom([2, 2, 2, 2], vec, renormalize=True)
+
+
+def _guard_cut_entropy(state):
+    rows, _ = cut_entropies(state)
+    return next(mixedness for part, _, mixedness in rows if part == _GUARD_CUT)
+
+
+class TestGramGuard:
+    def test_the_family_crosses_the_guard(self):
+        below = _guard_cut_entropy(_near_product(1e-3))
+        above = _guard_cut_entropy(_near_product(3e-2))
+        assert below < GRAM_GUARD < above
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 0.1))
+    @example(0.0)
+    @example(5e-3)
+    @example(1e-2)
+    def test_near_product_cuts_match_the_svd_path(self, eps):
+        state = _near_product(eps)
+        values, top = _gram_path(state)
+        ref_values, ref_top = _svd_path(state)
+        assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12
+        assert abs(top - ref_top) <= 1e-12
+        assert all(0.0 <= v <= 1.0 for v in values)
+        if eps == 0.0:
+            assert gbc(state) == gmc(state) == ggm(state) == 0.0

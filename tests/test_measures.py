@@ -26,6 +26,7 @@ from entmean import (
 )
 import entmean
 from entmean.closedform import gbc_ghz, gbc_w
+from entmean.linalg import GRAM_GUARD
 
 W3_CUT = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -236,10 +237,11 @@ class TestProductCutRule:
 
 
 class TestOnePass:
-    """Each measure enumerates the cuts once and decomposes each cut once.
+    """Each measure enumerates the cuts once and takes one Gram purity per cut.
 
-    A measure that reads concurrences also computes one linear entropy per
-    cut; ggm reads only the Schmidt weights of an entangled state.
+    No entangled cut is decomposed by SVD: only a cut below the Gram guard
+    is, together with its cross-term linear entropy.  An eigen solve runs
+    only on a cut whose purity bound can still hold ggm's largest weight.
     """
 
     @pytest.fixture
@@ -254,10 +256,11 @@ class TestOnePass:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(
-            entmean.measures,
+            entmean.linalg,
             "linear_entropy",
-            counting("entropy", entmean.measures.linear_entropy),
+            counting("entropy", entmean.linalg.linear_entropy),
         )
         enumerate_ = entmean.bipartitions.enumerate_bipartitions
         counted = counting("enumerate", enumerate_)
@@ -266,26 +269,48 @@ class TestOnePass:
                 monkeypatch.setattr(module, "enumerate_bipartitions", counted)
         return counts
 
-    @pytest.mark.parametrize(
-        "state",
-        [
-            haar_state([2, 2, 2], np.random.default_rng(47)),
-            make_w(4),
-            haar_state([3, 2, 2, 2], np.random.default_rng(53)),
-        ],
-        ids=["haar-222", "w4", "haar-3222"],
-    )
-    def test_each_measure_decomposes_every_cut_once(self, state, calls):
+    @staticmethod
+    def _measures(state):
         functions = [full_report, gbc, gmc, ggm]
         if state.dims == (2, 2, 2):
             functions.append(concurrence_fill)
-        n_cuts = 2 ** (state.n_parties - 1) - 1
-        for function in functions:
+        return functions
+
+    @pytest.mark.parametrize(
+        "state, eigen_solves",
+        [
+            (haar_state([2, 2, 2], np.random.default_rng(47)), 3),
+            # the four 1|3 cuts tie at 3/4; every 2|2 cut has sqrt(P) < 3/4
+            (make_w(4), 4),
+            (haar_state([3, 2, 2, 2], np.random.default_rng(53)), 7),
+        ],
+        ids=["haar-222", "w4", "haar-3222"],
+    )
+    def test_entangled_cuts_take_no_svd(self, state, eigen_solves, calls):
+        for function in self._measures(state):
             calls.clear()
             function(state)
-            entropies = 0 if function is ggm else n_cuts
-            expected = Counter(enumerate=1, svd=n_cuts, entropy=entropies)
-            assert calls == expected, function.__name__
+            assert calls == Counter(enumerate=1, eigvalsh=eigen_solves), function.__name__
+
+    def test_guarded_cuts_take_one_svd_each(self, calls):
+        # parties 0 and 1 are each a product factor: the cuts 0|123, 1|023
+        # and 01|23 are product cuts, the other four are entangled
+        rng = np.random.default_rng(61)
+        pair = make_custom(
+            [2, 2],
+            np.kron(haar_state([2], rng).amplitudes, haar_state([2], rng).amplitudes),
+        )
+        state = embed_product(
+            pair, haar_state([2, 2], rng), Bipartition.from_parties([0, 1], 4)
+        )
+        rows, _ = entmean.linalg.cut_entropies(state)
+        guarded = [part.label for part, _, mixedness in rows if mixedness < GRAM_GUARD]
+        assert guarded == ["0|123", "01|23", "023|1"]
+        for function in self._measures(state):
+            calls.clear()
+            function(state)
+            # a product cut's weight 1 bounds every other cut: no eigen solve
+            assert calls == Counter(enumerate=1, svd=3, entropy=3), function.__name__
 
 
 class TestMeasureProperties:

@@ -17,6 +17,7 @@ from entmean import (
     make_w,
     permute_parties,
 )
+from entmean.cli import main
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -194,26 +195,38 @@ class TestPureState:
             assert state.dims == (2, 2)
             assert all(type(d) is int for d in state.dims)
 
-    def test_every_entry_path_rejects_fractional_dims(self):
-        for bad, shown in [
-            (2.7, "2.7"),
-            (None, "None"),
-            (math.inf, "inf"),
-            (math.nan, "nan"),
-            ([2], "[2]"),
-        ]:
-            # unnormalized, so the dims must be checked before the norm
-            entries = [
-                lambda: PureState((bad, 2), [3, 0, 0, 0]),
-                lambda: make_custom([bad, 2], [3, 0, 0, 0]),
-                lambda: make_custom([bad, 2], [3, 0, 0, 0], renormalize=True),
-                lambda: PureState.from_json_dict({"dims": [bad, 2], "re": [3, 0, 0, 0]}),
+    def test_every_entry_path_rejects_fractional_dims(self, tmp_path, capsys):
+        cases = [
+            ([bad, 2], f"({shown}, 2)")
+            for bad, shown in [
+                (2.7, "2.7"),
+                (None, "None"),
+                (math.inf, "inf"),
+                (math.nan, "nan"),
+                ([2], "[2]"),
             ]
+        ]
+        # dims that are not a sequence at all
+        cases += [(4, "4"), (None, "None")]
+        path = tmp_path / "state.json"
+        for dims, shown in cases:
+            # unnormalized, so the dims must be checked before the norm
+            doc = {"dims": dims, "re": [3, 0, 0, 0]}
+            entries = [
+                lambda: PureState(dims, [3, 0, 0, 0]),
+                lambda: make_custom(dims, [3, 0, 0, 0]),
+                lambda: make_custom(dims, [3, 0, 0, 0], renormalize=True),
+                lambda: PureState.from_json_dict(doc),
+            ]
+            message = f"must be integers, got {shown}"
             for entry in entries:
-                with pytest.raises(
-                    ValueError, match=rf"must be integers, got \({re.escape(shown)}, 2\)"
-                ):
+                with pytest.raises(ValueError, match=re.escape(message)):
                     entry()
+            path.write_text(json.dumps(doc))
+            assert main(["measure", "--state-file", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err and "Traceback" not in captured.err
 
     def test_every_entry_path_names_a_length_mismatch(self):
         # unnormalized, so the length must be checked before the norm
