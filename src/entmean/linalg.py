@@ -1,15 +1,11 @@
 """Bipartite reshaping, Schmidt spectra and the purity pass over a state's cuts.
 
-Reshaping the amplitude vector across a cut gives a d_A x d_B matrix M.
-Its singular values squared are the Schmidt weights (schmidt_weights, the
-single-cut reference).  The measures need less than a spectrum: gbc and
-gmc read each cut's purity tr rho^2, which is ||G||_F^2 for the Gram
-matrix G = M M^dagger of the smaller side, and ggm reads only the largest
-weight over all cuts.  cut_entropies streams over the cuts with one GEMM
-each; it falls back to an SVD only on nearly pure cuts, where 1 - ||G||_F^2
-would lose the product cut's exact zero to cancellation, and runs an eigen
-solve only on a cut whose bound sqrt(P) >= lambda_max can still beat the
-largest weight found so far.
+Reshaping the amplitude vector across a cut gives a d_A x d_B matrix M whose
+squared singular values are the Schmidt weights (schmidt_weights: one SVD,
+the single-cut reference).  The measures need less than a spectrum:
+cut_entropies takes each cut's purity tr rho_A^2 as ||G||_F^2 of the Gram
+matrix G = M M^dagger of the smaller side, and decomposes only the cuts
+where that purity cannot serve.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from entmean import (
     schmidt_weights,
 )
 from entmean.linalg import GRAM_GUARD, cut_entropies
-from entmean.measures import _concurrence
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -184,8 +183,8 @@ def _svd_path(state):
 
 
 def _gram_path(state):
-    rows, top = cut_entropies(state)
-    return [_concurrence(d_min, mixedness, True) for _, d_min, mixedness in rows], top
+    values = [value for _, value in full_report(state).per_bipartition]
+    return values, cut_entropies(state)[1]
 
 
 class TestCutEntropies:
@@ -220,8 +219,8 @@ class TestCutEntropies:
         assert all(len(values) == 1 for values in by_size.values()), by_size
 
 
-# 0|123 and 01|23 vanish at eps = 0; 0|123 sweeps its linear entropy
-# through GRAM_GUARD as eps grows
+# cos(eps) product + sin(eps) entangled: the product cut 0|123 vanishes at
+# eps = 0, and its linear entropy sweeps through GRAM_GUARD as eps grows
 _GUARD_CUT = Bipartition.from_parties([0], 4)
 
 
