@@ -6,6 +6,13 @@ the single-cut reference).  The measures need less than a spectrum:
 cut_entropies takes each cut's purity tr rho_A^2 as ||G||_F^2 of the Gram
 matrix G = M M^dagger of the smaller side, and decomposes only the cuts
 where that purity cannot serve.
+
+A permutation-symmetric qubit state (every party a qubit, the amplitude
+tensor exactly unchanged by each swap of neighbouring parties) has one
+amplitude a_k per Hamming weight k.  In the Dicke bases of the two sides
+its matrix across any cut whose smaller side has m parties is the
+(m+1) x (n-m+1) matrix a_{j+l} sqrt(C(m, j) C(n-m, l)), so cut_entropies
+takes n//2 of those small matrices instead of one dense matrix per cut.
 """
 
 from __future__ import annotations
@@ -67,6 +74,8 @@ def cut_entropies(
     largest Schmidt weight over all cuts is exact to round-off: since
     P <= lambda_max <= sqrt(P), a cut whose sqrt(P) does not exceed the
     largest weight found so far cannot hold the maximum and is not solved.
+    A permutation-symmetric qubit state takes one small Dicke-basis matrix
+    per cut size instead (see the module docstring).
     """
     amplitudes = state.amplitudes
     if not amplitudes.imag.any():
@@ -74,10 +83,13 @@ def cut_entropies(
         # a contiguous copy, so every cut matrix has the same memory layout
         amplitudes = amplitudes.real.copy()
     tensor = amplitudes.reshape(state.dims)
+    parts = enumerate_bipartitions(state.n_parties)
+    if _symmetric_qubits(tensor):
+        return _symmetric_cut_entropies(tensor, parts)
     dims = state.dims
     rows = []
     top = 0.0
-    for part in enumerate_bipartitions(state.n_parties):
+    for part in parts:
         side_a, side_b = part.parties_a, part.parties_b
         d_a = math.prod(dims[k] for k in side_a)
         d_b = tensor.size // d_a
@@ -85,17 +97,57 @@ def cut_entropies(
             side_a, side_b, d_a, d_b = side_b, side_a, d_b, d_a
         # the smaller side indexes the rows
         matrix = tensor.transpose(side_a + side_b).reshape(d_a, d_b)
-        gram = matrix @ matrix.conj().T
-        purity = np.vdot(gram, gram).real
-        mixedness = 1.0 - purity
-        if mixedness < GRAM_GUARD:
-            s = np.linalg.svd(matrix, compute_uv=False)
-            weights = s * s
-            mixedness = linear_entropy(weights)
-            top = max(top, weights[0])
-        elif math.sqrt(purity) > top:
-            top = max(top, np.linalg.eigvalsh(gram)[-1])
-        rows.append((part, d_a, float(mixedness)))
+        mixedness, top = _gram_step(matrix, top)
+        rows.append((part, d_a, mixedness))
+    return tuple(rows), float(top)
+
+
+def _gram_step(matrix: np.ndarray, top: float) -> tuple[float, float]:
+    """(linear entropy, largest weight so far) after one cut matrix, rows the smaller side."""
+    gram = matrix @ matrix.conj().T
+    purity = np.vdot(gram, gram).real
+    mixedness = 1.0 - purity
+    if mixedness < GRAM_GUARD:
+        s = np.linalg.svd(matrix, compute_uv=False)
+        weights = s * s
+        return linear_entropy(weights), max(top, weights[0])
+    if math.sqrt(purity) > top:
+        top = max(top, np.linalg.eigvalsh(gram)[-1])
+    return float(mixedness), top
+
+
+def _symmetric_qubits(tensor: np.ndarray) -> bool:
+    """True when every party is a qubit and every swap of two parties leaves the tensor equal."""
+    if any(d != 2 for d in tensor.shape):
+        return False
+    # neighbouring swaps generate every permutation; a Haar state fails the first
+    return all(
+        np.array_equal(tensor, tensor.swapaxes(k, k + 1)) for k in range(tensor.ndim - 1)
+    )
+
+
+def _symmetric_cut_entropies(tensor: np.ndarray, parts):
+    """cut_entropies of a permutation-symmetric qubit state, one Gram step per cut size."""
+    n = tensor.ndim
+    # a[k]: the amplitude every basis state of Hamming weight k shares
+    a = np.array([tensor[(1,) * k + (0,) * (n - k)] for k in range(n + 1)])
+    by_size = [0.0]
+    top = 0.0
+    for m in range(1, n // 2 + 1):
+        binom_a = [math.comb(m, j) for j in range(m + 1)]
+        binom_b = [math.comb(n - m, l) for l in range(n - m + 1)]
+        # a_{j+l} sqrt(C(m, j) C(n-m, l)) in this direct form, one rounding in
+        # the root: the Bell state keeps its exact concurrence 1.0
+        matrix = a[np.add.outer(range(m + 1), range(n - m + 1))] * np.sqrt(
+            np.outer(binom_a, binom_b)
+        )
+        mixedness, top = _gram_step(matrix, top)
+        by_size.append(mixedness)
+    rows = []
+    for part in parts:
+        size = part.subset_a.bit_count()
+        m = min(size, n - size)
+        rows.append((part, 2**m, by_size[m]))
     return tuple(rows), float(top)
 
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: random states, Haar unitaries, product embeddings."""
+"""Shared test helpers: random states, Haar unitaries, product embeddings,
+symmetric qubit states."""
 
 from __future__ import annotations
 
@@ -46,3 +47,17 @@ def basis_state(dims, digits) -> PureState:
     amps = np.zeros(math.prod(dims), dtype=np.complex128)
     amps[index] = 1.0
     return PureState(tuple(dims), amps)
+
+
+def symmetric_state(weight_amplitudes) -> PureState:
+    """Permutation-symmetric qubit state, renormalized, from one amplitude per weight.
+
+    weight_amplitudes[k] is the amplitude of every basis state with k ones,
+    so n = len(weight_amplitudes) - 1 parties and the amplitude tensor is
+    exactly unchanged by any party permutation.  The Dicke state D(n, k) is
+    the k-th unit vector.
+    """
+    n = len(weight_amplitudes) - 1
+    weights = [index.bit_count() for index in range(2**n)]
+    vec = np.asarray(weight_amplitudes, dtype=np.complex128)[weights]
+    return make_custom([2] * n, vec, renormalize=True)

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from conftest import symmetric_state
 
 from entmean import (
     closed_form_table,
     concurrence,
+    full_report,
     gbc,
     gbc_ghz,
     gbc_w,
@@ -105,6 +107,51 @@ class TestOracleEquivalence:
         for n in range(2, 9):
             assert abs(gbc_ghz(n).gbc - gbc(make_ghz(n))) <= 1e-10
             assert abs(gbc_w(n).gbc - gbc(make_w(n))) <= 1e-10
+
+
+def _dicke_weights(n, k, m):
+    """Hypergeometric Schmidt weights of D(n, k) across an m-party cut."""
+    total = math.comb(n, k)
+    return [math.comb(m, j) * math.comb(n - m, k - j) / total for j in range(min(m, k) + 1)]
+
+
+def _concurrence_from(weights, m):
+    d = 2.0**m
+    return math.sqrt(d / (d - 1.0) * (1.0 - math.fsum(w * w for w in weights)))
+
+
+def _cut_size(part):
+    return min(len(part.parties_a), len(part.parties_b))
+
+
+class TestDickeOracle:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_full_report(self, n):
+        for k in range(n + 1):
+            report = full_report(symmetric_state([float(i == k) for i in range(n + 1)]))
+            for part, value in report.per_bipartition:
+                m = _cut_size(part)
+                assert abs(value - _concurrence_from(_dicke_weights(n, k, m), m)) <= 1e-12
+
+    def test_single_excitation_is_w(self):
+        for n in range(2, 65):
+            for m in range(1, n // 2 + 1):
+                value = _concurrence_from(_dicke_weights(n, 1, m), m)
+                assert value == pytest.approx(w_concurrence_m(n, m), abs=1e-14)
+
+    def test_extreme_dicke_superposition_is_ghz(self):
+        # D(n, 0) and D(n, n) occupy different Dicke states on both sides of
+        # every cut, so (D(n,0) + D(n,n))/sqrt2 has their weights halved
+        for n in range(2, 65):
+            for m in range(1, n // 2 + 1):
+                weights = [w / 2 for k in (0, n) for w in _dicke_weights(n, k, m)]
+                value = _concurrence_from(weights, m)
+                assert value == pytest.approx(ghz_concurrence_m(n, m), abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_w_cuts_match_the_closed_form(self, n):
+        for part, value in full_report(make_w(n)).per_bipartition:
+            assert abs(value - w_concurrence_m(n, _cut_size(part))) <= 1e-15
 
 
 class TestRatio:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import basis_state, embed_product, haar_state, haar_unitary
+from conftest import basis_state, embed_product, haar_state, haar_unitary, symmetric_state
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,9 +19,11 @@ from entmean import (
     make_custom,
     make_ghz,
     make_w,
+    permute_parties,
     reshape,
     schmidt_weights,
 )
+import entmean.linalg
 from entmean.linalg import GRAM_GUARD, cut_entropies
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -259,3 +261,94 @@ class TestGramGuard:
         assert all(0.0 <= v <= 1.0 for v in values)
         if eps == 0.0:
             assert gbc(state) == gmc(state) == ggm(state) == 0.0
+
+
+def _symmetric_states(n):
+    """GHZ_n, W_n, every Dicke state D(n, k) and three seeded random complex ones."""
+    rng = np.random.default_rng(100 + n)
+    states = {"ghz": make_ghz(n), "w": make_w(n)}
+    for k in range(n + 1):
+        states[f"dicke{k}"] = symmetric_state(np.eye(n + 1)[k])
+    for i in range(3):
+        states[f"random{i}"] = symmetric_state(
+            rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        )
+    return states
+
+
+class TestSymmetricPath:
+    """Permutation-symmetric qubit states take n//2 Dicke-basis cut matrices."""
+
+    @pytest.fixture
+    def shortcuts(self, monkeypatch):
+        """Count the calls that take the symmetric path."""
+        calls = []
+        original = entmean.linalg._symmetric_cut_entropies
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(entmean.linalg, "_symmetric_cut_entropies", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_agrees_with_the_dense_path(self, n, shortcuts, monkeypatch):
+        for name, state in _symmetric_states(n).items():
+            with monkeypatch.context() as patch:
+                patch.setattr(entmean.linalg, "_symmetric_qubits", lambda tensor: False)
+                dense = full_report(state)
+            assert not shortcuts
+            report = full_report(state)
+            assert len(shortcuts) == 1, name
+            shortcuts.clear()
+            cuts = [part for part, _ in report.per_bipartition]
+            assert cuts == [part for part, _ in dense.per_bipartition], name
+            diffs = [
+                abs(a - b)
+                for (_, a), (_, b) in zip(report.per_bipartition, dense.per_bipartition)
+            ]
+            assert max(diffs) <= 1e-14, name
+            for measure in ("gbc", "gmc", "ggm"):
+                diff = abs(getattr(report, measure) - getattr(dense, measure))
+                assert diff <= 1e-14, (name, measure)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_product_states_stay_exactly_zero(self, n, shortcuts):
+        alpha, beta = np.exp(0.3j) * math.cos(0.4), math.sin(0.4)
+        products = {
+            "zeros": np.eye(n + 1)[0],
+            "ones": np.eye(n + 1)[n],
+            "plus": np.ones(n + 1),
+            "tilted": [alpha ** (n - k) * beta**k for k in range(n + 1)],
+        }
+        for name, weight_amplitudes in products.items():
+            state = symmetric_state(weight_amplitudes)
+            report = full_report(state)
+            assert report.gbc == report.gmc == report.ggm == 0.0, name
+            values = [v for _, v in report.per_bipartition]
+            assert all(0.0 <= v <= 1.0 for v in values), name
+        assert len(shortcuts) == len(products)
+
+    def test_near_symmetric_states_take_the_dense_path(self, shortcuts):
+        w8 = make_w(8).amplitudes.copy()
+        w8[1 << 3] += 1e-13
+        qutrits = np.zeros(27)
+        qutrits[[0, 13, 26]] = 1.0  # |000> + |111> + |222>
+        # symmetric in parties 0..2; party 3 differs, so only the last swap fails
+        tensor = np.zeros((2, 2, 2, 2))
+        tensor[0, 0, 0, 1] = tensor[0, 0, 1, 0] = tensor[0, 1, 0, 0] = 0.6
+        tensor[1, 1, 1, 0] = 0.8
+        asymmetric = make_custom([2] * 4, tensor.reshape(-1), renormalize=True)
+        states = {
+            "w8-perturbed": make_custom([2] * 8, w8, renormalize=True),
+            "qutrit-ghz": make_custom([3] * 3, qutrits, renormalize=True),
+            "permuted": permute_parties(asymmetric, (3, 0, 1, 2)),
+            "unpermuted": asymmetric,
+        }
+        for name, state in states.items():
+            values, top = _gram_path(state)
+            ref_values, ref_top = _svd_path(state)
+            assert not shortcuts, name
+            assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12, name
+            assert abs(top - ref_top) <= 1e-12, name

@@ -242,6 +242,7 @@ class TestOnePass:
     No entangled cut is decomposed by SVD: only a cut below the Gram guard
     is, together with its cross-term linear entropy.  An eigen solve runs
     only on a cut whose purity bound can still hold ggm's largest weight.
+    A permutation-symmetric qubit state has one matrix per cut size.
     """
 
     @pytest.fixture
@@ -280,11 +281,14 @@ class TestOnePass:
         "state, eigen_solves",
         [
             (haar_state([2, 2, 2], np.random.default_rng(47)), 3),
-            # the four 1|3 cuts tie at 3/4; every 2|2 cut has sqrt(P) < 3/4
-            (make_w(4), 4),
+            # symmetric: one matrix per cut size; the 1|3 size solves to 3/4,
+            # and the 2|2 size has sqrt(P) < 3/4
+            (make_w(4), 1),
             (haar_state([3, 2, 2, 2], np.random.default_rng(53)), 7),
+            # every cut ties at 1/2, so no bound prunes: one solve per cut size
+            (make_ghz(12), 6),
         ],
-        ids=["haar-222", "w4", "haar-3222"],
+        ids=["haar-222", "w4", "haar-3222", "ghz12"],
     )
     def test_entangled_cuts_take_no_svd(self, state, eigen_solves, calls):
         for function in self._measures(state):
