@@ -120,10 +120,15 @@ def _symmetric_qubits(tensor: np.ndarray) -> bool:
     """True when every party is a qubit and every swap of two parties leaves the tensor equal."""
     if any(d != 2 for d in tensor.shape):
         return False
-    # neighbouring swaps generate every permutation; a Haar state fails the first
-    return all(
-        np.array_equal(tensor, tensor.swapaxes(k, k + 1)) for k in range(tensor.ndim - 1)
-    )
+    # swapping parties k and k+1 fixes the tensor iff its |..01..> and |..10..>
+    # blocks are equal, half the data of comparing the swapped tensor;
+    # neighbouring swaps generate every permutation, and a Haar state fails
+    # the first
+    for k in range(tensor.ndim - 1):
+        head = (slice(None),) * k
+        if not np.array_equal(tensor[head + (0, 1)], tensor[head + (1, 0)]):
+            return False
+    return True
 
 
 def _symmetric_cut_entropies(tensor: np.ndarray, parts):

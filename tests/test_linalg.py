@@ -337,8 +337,10 @@ class TestSymmetricPath:
         qutrits[[0, 13, 26]] = 1.0  # |000> + |111> + |222>
         # symmetric in parties 0..2; party 3 differs, so only the last swap fails
         tensor = np.zeros((2, 2, 2, 2))
-        tensor[0, 0, 0, 1] = tensor[0, 0, 1, 0] = tensor[0, 1, 0, 0] = 0.6
-        tensor[1, 1, 1, 0] = 0.8
+        tensor[1, 0, 0, 0] = tensor[0, 1, 0, 0] = tensor[0, 0, 1, 0] = 0.6
+        tensor[0, 0, 0, 1] = 0.8
+        swaps = [np.array_equal(tensor, tensor.swapaxes(k, k + 1)) for k in range(3)]
+        assert swaps == [True, True, False]
         asymmetric = make_custom([2] * 4, tensor.reshape(-1), renormalize=True)
         states = {
             "w8-perturbed": make_custom([2] * 8, w8, renormalize=True),
