@@ -120,6 +120,11 @@ def _symmetric_qubits(tensor: np.ndarray) -> bool:
     """True when every party is a qubit and every swap of two parties leaves the tensor equal."""
     if any(d != 2 for d in tensor.shape):
         return False
+    # the first entries of the first swap's blocks, |010..0> and |100..0>:
+    # two Python scalars turn most asymmetric states away before any array call
+    n = tensor.ndim
+    if tensor.item(1 << (n - 2)) != tensor.item(1 << (n - 1)):
+        return False
     # swapping parties k and k+1 fixes the tensor iff its |..01..> and |..10..>
     # blocks are equal, half the data of comparing the swapped tensor;
     # neighbouring swaps generate every permutation, and a Haar state fails
