@@ -6,8 +6,11 @@ unique canonical representative: the side containing party 0 is A.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+from .states import MAX_PARTIES
 
 MAX_N = 20  # bitmask enumeration cap; dense states stop at states.MAX_PARTIES
 
@@ -62,10 +65,21 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     """All unordered splits of n parties, sorted by (size of A, mask value).
 
     Masks containing party 0, which are exactly the odd ones, enumerate
-    each unordered pair once, which gives 2**(n-1) - 1 entries.
+    each unordered pair once, which gives 2**(n-1) - 1 entries.  The
+    enumerations of up to MAX_PARTIES parties, the counts a dense state
+    can have, are built once and shared.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")
+    if n <= MAX_PARTIES:
+        return _enumerated(n)
+    return _enumerated.__wrapped__(n)
+
+
+# enumerate_bipartitions stays a plain function, so that wrappers installed
+# on the module (profilers, tracers) see its calls; the cache sits behind it
+@functools.lru_cache(maxsize=MAX_PARTIES)
+def _enumerated(n: int) -> tuple[Bipartition, ...]:
     masks = sorted(range(1, (1 << n) - 1, 2), key=lambda m: (m.bit_count(), m))
     return tuple(Bipartition(m, n) for m in masks)
 

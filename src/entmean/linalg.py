@@ -13,10 +13,14 @@ amplitude a_k per Hamming weight k.  In the Dicke bases of the two sides
 its matrix across any cut whose smaller side has m parties is the
 (m+1) x (n-m+1) matrix a_{j+l} sqrt(C(m, j) C(n-m, l)), so cut_entropies
 takes n//2 of those small matrices instead of one dense matrix per cut.
+
+grid_cut_entropies runs the dense pass on a whole real grid of states at
+once, one stacked step per cut, with the bits of the pass on each row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,6 +33,8 @@ from .states import PureState
 # a concurrence sqrt(k L) is off by at most ~3e-15 / (2 sqrt(GRAM_GUARD)),
 # about 2e-13, inside the 1e-12 the tests hold it to.
 GRAM_GUARD = 1e-4
+# how many dims keep their cut layouts cached; 14 qubits alone have 8191 cuts
+_LAYOUT_CACHE = 16
 
 
 def reshape(state: PureState, part: Bipartition) -> np.ndarray:
@@ -86,20 +92,49 @@ def cut_entropies(
     parts = enumerate_bipartitions(state.n_parties)
     if _symmetric_qubits(tensor):
         return _symmetric_cut_entropies(tensor, parts)
-    dims = state.dims
     rows = []
     top = 0.0
-    for part in parts:
-        side_a, side_b = part.parties_a, part.parties_b
-        d_a = math.prod(dims[k] for k in side_a)
-        d_b = tensor.size // d_a
-        if d_a > d_b:
-            side_a, side_b, d_a, d_b = side_b, side_a, d_b, d_a
-        # the smaller side indexes the rows
-        matrix = tensor.transpose(side_a + side_b).reshape(d_a, d_b)
-        mixedness, top = _gram_step(matrix, top)
+    for part, order, d_a, d_b in _cut_layouts(state.dims):
+        mixedness, top = _gram_step(tensor.transpose(order).reshape(d_a, d_b), top)
         rows.append((part, d_a, mixedness))
     return tuple(rows), float(top)
+
+
+def grid_cut_entropies(
+    dims: tuple[int, ...], grid: np.ndarray
+) -> tuple[list[tuple[Bipartition, int]], np.ndarray, np.ndarray]:
+    """cut_entropies of every row of a real (k, prod(dims)) amplitude grid.
+
+    Returns the (part, d_min) of each canonical cut, the (k, cuts) linear
+    entropies and the k largest weights.  Each cut takes one stacked step
+    over all rows (_gram_steps), in the canonical cut order, so every row
+    runs the decompositions, and gets the bits, that cut_entropies gives
+    its state on the dense path.
+    """
+    k = len(grid)
+    stack = grid.reshape((k,) + dims)
+    layouts = _cut_layouts(dims)
+    mixedness = np.empty((k, len(layouts)))
+    top = np.zeros(k)
+    for c, (_, order, d_a, d_b) in enumerate(layouts):
+        axes = (0,) + tuple(axis + 1 for axis in order)
+        mixedness[:, c], top = _gram_steps(stack.transpose(axes).reshape(k, d_a, d_b), top)
+    return [(part, d_a) for part, _, d_a, _ in layouts], mixedness, top
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE)
+def _cut_layouts(dims: tuple[int, ...]) -> tuple[tuple[Bipartition, tuple, int, int], ...]:
+    """(part, axis order, d_a, d_b) of each canonical cut, the smaller side first."""
+    size = math.prod(dims)
+    layouts = []
+    for part in enumerate_bipartitions(len(dims)):
+        side_a, side_b = part.parties_a, part.parties_b
+        d_a = math.prod(dims[k] for k in side_a)
+        if d_a > size // d_a:
+            side_a, side_b, d_a = side_b, side_a, size // d_a
+        # the smaller side indexes the rows
+        layouts.append((part, side_a + side_b, d_a, size // d_a))
+    return tuple(layouts)
 
 
 def _gram_step(matrix: np.ndarray, top: float) -> tuple[float, float]:
@@ -114,6 +149,33 @@ def _gram_step(matrix: np.ndarray, top: float) -> tuple[float, float]:
     if math.sqrt(purity) > top:
         top = max(top, np.linalg.eigvalsh(gram)[-1])
     return float(mixedness), top
+
+
+def _gram_steps(matrices: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_gram_step on each matrix of a real (k, d_a, d_b) stack, with one top per matrix.
+
+    Bit for bit the scalar step: the purity is a row-times-column matmul,
+    which numpy evaluates with the dot product np.vdot uses, and the
+    decompositions run the same LAPACK routine per matrix, one stacked svd
+    for the rows below GRAM_GUARD and one stacked eigvalsh for the rows
+    whose sqrt(P) exceeds their top.
+    """
+    k = len(matrices)
+    grams = matrices @ matrices.transpose(0, 2, 1)
+    flat = grams.reshape(k, 1, -1)
+    purity = (flat @ flat.transpose(0, 2, 1))[:, 0, 0]
+    mixedness = 1.0 - purity
+    top = top.copy()
+    guard = mixedness < GRAM_GUARD
+    if guard.any():
+        s = np.linalg.svd(matrices[guard], compute_uv=False)
+        weights = s * s
+        mixedness[guard] = [linear_entropy(w) for w in weights]
+        top[guard] = np.maximum(top[guard], weights[:, 0])
+    solve = ~guard & (np.sqrt(purity) > top)
+    if solve.any():
+        top[solve] = np.maximum(top[solve], np.linalg.eigvalsh(grams[solve])[:, -1])
+    return mixedness, top
 
 
 def _symmetric_qubits(tensor: np.ndarray) -> bool:

@@ -14,10 +14,13 @@ positive on genuinely entangled ones.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bipartitions import Bipartition
-from .linalg import cut_entropies, linear_entropy, schmidt_weights
+from .linalg import cut_entropies, grid_cut_entropies, linear_entropy, schmidt_weights
 from .states import PureState
 
 # The product-cut rule, applied by every measure through _biseparable: a cut
@@ -115,10 +118,27 @@ class MeasureReport:
 def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
     """Evaluate every applicable measure of one state from one pass over the cuts."""
     rows, top = cut_entropies(state)
+    return _report(rows, top, state.dims, regularized)
+
+
+def grid_reports(dims: tuple[int, ...], grid: np.ndarray) -> Iterator[MeasureReport]:
+    """Yield full_report of each row of a real (k, prod(dims)) grid of checked amplitudes.
+
+    One stacked pass over the cuts serves every row (linalg.grid_cut_entropies);
+    each report equals full_report of the row's state on the dense path.
+    """
+    cuts, mixedness, top = grid_cut_entropies(dims, grid)
+    for row, row_top in zip(mixedness, top.tolist()):
+        rows = tuple((part, d_min, m) for (part, d_min), m in zip(cuts, row.tolist()))
+        yield _report(rows, row_top, dims, True)
+
+
+def _report(rows, top: float, dims, regularized: bool) -> MeasureReport:
+    """Every measure of one state from its (part, d_min, mixedness) rows and largest weight."""
     values = _concurrences(rows, regularized)
     mean, product = _log_mean(values)
     fill = None
-    if state.dims == (2, 2, 2):
+    if dims == (2, 2, 2):
         # the fill is always regularized
         fill = _fill(values if regularized else _concurrences(rows, True))
     return MeasureReport(

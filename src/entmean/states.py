@@ -31,12 +31,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         dims, amps = _checked_layout(self.dims, self.amplitudes)
-        norm = _finite_norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}; "
-                "use make_custom to renormalize raw vectors"
-            )
+        _require_unit_norm(_finite_norm(amps))
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -131,9 +126,21 @@ def _checked_layout(raw_dims, amplitudes) -> tuple[tuple[int, ...], np.ndarray]:
 
 def _finite_norm(amps: np.ndarray) -> float:
     """Euclidean norm of an amplitude vector that holds no NaN or infinity."""
+    _require_finite(amps)
+    return float(np.linalg.norm(amps))
+
+
+def _require_finite(amps: np.ndarray) -> None:
     if not np.isfinite(amps).all():
         raise ValueError("non-finite amplitudes (NaN or infinity) cannot form a state")
-    return float(np.linalg.norm(amps))
+
+
+def _require_unit_norm(norm: float) -> None:
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(
+            f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}; "
+            "use make_custom to renormalize raw vectors"
+        )
 
 
 def make_ghz(n: int) -> PureState:
@@ -161,20 +168,12 @@ def make_family_a(theta: float) -> PureState:
     Any real theta is accepted; sweeps default to [0, pi/2], where theta=0
     gives the GHZ state and theta=pi/2 a biseparable state.
     """
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000] = math.cos(theta) * inv_sqrt2
-    amps[0b100] = math.sin(theta) * inv_sqrt2
-    amps[0b111] = inv_sqrt2
-    return PureState((2, 2, 2), amps)
+    return _family_state("a", theta)
 
 
 def make_family_b(theta: float) -> PureState:
     """Three-qubit family cos(t)|000> + sin(t)|111>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b000] = math.cos(theta)
-    amps[0b111] = math.sin(theta)
-    return PureState((2, 2, 2), amps)
+    return _family_state("b", theta)
 
 
 def make_family_c(theta: float) -> PureState:
@@ -183,12 +182,68 @@ def make_family_c(theta: float) -> PureState:
     Product state at theta=0, biseparable (last two qubits in |00>) at
     theta=pi/2, genuinely entangled in between.
     """
+    return _family_state("c", theta)
+
+
+# Each family's one formula: real amplitude rows, one per theta, with
+# math.cos and math.sin per theta, so a row holds the bits of the state.
+def _family_a_rows(thetas) -> np.ndarray:
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    rows = np.zeros((len(thetas), 8))
+    rows[:, 0b000] = [math.cos(t) * inv_sqrt2 for t in thetas]
+    rows[:, 0b100] = [math.sin(t) * inv_sqrt2 for t in thetas]
+    rows[:, 0b111] = inv_sqrt2
+    return rows
+
+
+def _family_b_rows(thetas) -> np.ndarray:
+    rows = np.zeros((len(thetas), 8))
+    rows[:, 0b000] = [math.cos(t) for t in thetas]
+    rows[:, 0b111] = [math.sin(t) for t in thetas]
+    return rows
+
+
+def _family_c_rows(thetas) -> np.ndarray:
     beta = 3.0 * math.pi / 5.0
-    amps = np.zeros(16, dtype=np.complex128)
-    amps[0b0100] = math.sin(theta) * math.cos(beta)
-    amps[0b1000] = math.sin(theta) * math.sin(beta)
-    amps[0b0011] = math.cos(theta)
-    return PureState((2, 2, 2, 2), amps)
+    rows = np.zeros((len(thetas), 16))
+    rows[:, 0b0100] = [math.sin(t) * math.cos(beta) for t in thetas]
+    rows[:, 0b1000] = [math.sin(t) * math.sin(beta) for t in thetas]
+    rows[:, 0b0011] = [math.cos(t) for t in thetas]
+    return rows
+
+
+# family name -> (local dims, amplitude rows over a sequence of thetas)
+_FAMILY_ROWS = {
+    "a": ((2, 2, 2), _family_a_rows),
+    "b": ((2, 2, 2), _family_b_rows),
+    "c": ((2, 2, 2, 2), _family_c_rows),
+}
+
+
+def _family_state(family: str, theta: float) -> PureState:
+    dims, build = _FAMILY_ROWS[family]
+    return PureState(dims, build((theta,))[0])
+
+
+def family_grid(family: str, thetas) -> tuple[tuple[int, ...], np.ndarray]:
+    """Local dims and the real (len(thetas), prod(dims)) amplitude rows of a family.
+
+    Row i is bit for bit the amplitude vector of make_family_<family>(thetas[i]),
+    and every row passes the finiteness and norm checks of PureState.
+    """
+    dims, build = _FAMILY_ROWS[family]
+    rows = build(thetas)
+    _check_rows(rows)
+    return dims, rows
+
+
+def _check_rows(rows: np.ndarray) -> None:
+    """PureState's finiteness and norm checks on each row of an amplitude grid."""
+    _require_finite(rows)
+    if len(rows):
+        # the row farthest from unit norm, its norm taken as PureState takes it
+        norms = np.linalg.norm(rows, axis=1)
+        _require_unit_norm(float(np.linalg.norm(rows[np.argmax(np.abs(norms - 1.0))])))
 
 
 def apply_local_unitary(state: PureState, party: int, matrix) -> PureState:

@@ -2,7 +2,9 @@
 analysis, and CSV/gnuplot emission.
 
 Grids are deterministic (theta_i = i * (pi/2) / (steps - 1) on [0, pi/2]);
-identical specs produce byte-identical CSV files.
+identical specs produce byte-identical CSV files.  A sweep builds its whole
+grid as one real amplitude array and measures it with one stacked step per
+cut; each row equals full_report of the family's state at that theta.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures
-from .states import PureState, make_family_a, make_family_b, make_family_c
+from .states import PureState, family_grid, make_family_a, make_family_b, make_family_c
 
 FAMILY_BUILDERS = {
     "a": make_family_a,
@@ -21,9 +23,8 @@ FAMILY_BUILDERS = {
     "c": make_family_c,
 }
 THREE_QUBIT_FAMILIES = frozenset({"a", "b"})
-# column name -> name of the function in measures
-_MEASURE_FUNCTIONS = {"gbc": "gbc", "gmc": "gmc", "ggm": "ggm", "fill": "concurrence_fill"}
-MEASURE_COLUMNS = tuple(_MEASURE_FUNCTIONS)
+# the MeasureReport fields a sweep can hold, in CSV column order
+MEASURE_COLUMNS = ("gbc", "gmc", "ggm", "fill")
 
 # upper bound on SweepSpec.steps, so the grid, the mined findings and the
 # files written stay bounded for every CLI argument
@@ -55,11 +56,15 @@ def family_state(family: str, theta: float) -> PureState:
 
 
 def measure_value(state: PureState, name: str) -> float:
-    """Evaluate one measure by column name."""
+    """Evaluate one measure by column name: that field of the state's full_report."""
     _require_known("measure", name, MEASURE_COLUMNS)
     # looked up on the module at call time, so wrappers installed there
     # (profilers, tracers) also see the evaluations made here
-    return getattr(measures, _MEASURE_FUNCTIONS[name])(state)
+    value = getattr(measures.full_report(state), name)
+    if value is None:
+        # no fill off three qubits: concurrence_fill raises its ValueError
+        return measures.concurrence_fill(state)
+    return value
 
 
 @dataclass(frozen=True)
@@ -108,14 +113,17 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every requested measure over the deterministic theta grid."""
-    rows = []
-    for i in range(spec.steps):
-        theta = i * _THETA_MAX / (spec.steps - 1)
-        report = measures.full_report(family_state(spec.family, theta))
-        values = {name: getattr(report, name) for name in spec.measures}
-        rows.append(SweepRow(spec.family, theta, values))
-    return rows
+    """Evaluate every requested measure over the deterministic theta grid.
+
+    The grid is measured as one stack (measures.grid_reports); each row's
+    values equal those of full_report(family_state(family, theta)).
+    """
+    thetas = [i * _THETA_MAX / (spec.steps - 1) for i in range(spec.steps)]
+    reports = measures.grid_reports(*family_grid(spec.family, thetas))
+    return [
+        SweepRow(spec.family, theta, {name: getattr(report, name) for name in spec.measures})
+        for theta, report in zip(thetas, reports)
+    ]
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from entmean import (
     Bipartition,
+    PureState,
     apply_local_unitary,
     concurrence,
     enumerate_bipartitions,
@@ -354,3 +355,87 @@ class TestSymmetricPath:
             assert not shortcuts, name
             assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12, name
             assert abs(top - ref_top) <= 1e-12, name
+
+
+def _real_stack(rng, k, d_a, d_b):
+    """k seeded real unit-norm d_a x d_b matrices; every third is near rank one."""
+    stack = rng.standard_normal((k, d_a, d_b))
+    for i in range(0, k, 3):
+        eps = 0.0 if i == 0 else 10.0 ** -rng.uniform(0.5, 6.0)
+        outer = np.outer(rng.standard_normal(d_a), rng.standard_normal(d_b))
+        stack[i] = outer + eps * stack[i]
+    return stack / np.linalg.norm(stack.reshape(k, -1), axis=1)[:, None, None]
+
+
+def _real_grid(rng, dims, k):
+    """k seeded real unit rows over dims; every fourth a product across party 0."""
+    grid = rng.standard_normal((k, math.prod(dims)))
+    for i in range(0, k, 4):
+        rest = grid.shape[1] // dims[0]
+        grid[i] = np.kron(rng.standard_normal(dims[0]), rng.standard_normal(rest))
+    return grid / np.linalg.norm(grid, axis=1)[:, None]
+
+
+class TestStackedStep:
+    """_gram_steps over a stack is _gram_step row by row, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 8), (3, 6), (4, 4), (8, 8)])
+    def test_equals_the_scalar_step_per_row(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        k = 60
+        stack = _real_stack(rng, k, *shape)
+        tops = rng.uniform(0.0, 1.0, k)
+        tops[::5] = 0.0
+        mixedness, top = entmean.linalg._gram_steps(stack, tops)
+        for r in range(k):
+            assert (mixedness[r], top[r]) == entmean.linalg._gram_step(stack[r], float(tops[r]))
+        # the stack exercises the guard, the prune and the eigen solve
+        purity = np.array([np.vdot(m @ m.T, m @ m.T) for m in stack])
+        guarded = 1.0 - purity < GRAM_GUARD
+        skipped = ~guarded & (np.sqrt(purity) <= tops)
+        assert guarded.any() and skipped.any() and not (guarded | skipped).all()
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2, 2), (2, 2, 2, 2, 2)],
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    def test_grid_rows_equal_cut_entropies(self, dims):
+        grid = _real_grid(np.random.default_rng(len(dims) + dims[1]), dims, 41)
+        cuts, mixedness, top = entmean.linalg.grid_cut_entropies(dims, grid)
+        for r, row in enumerate(grid):
+            rows, row_top = cut_entropies(PureState(dims, row))
+            assert [(part, d_min) for part, d_min, _ in rows] == cuts
+            assert [m for _, _, m in rows] == mixedness[r].tolist()
+            assert row_top == top[r]
+
+    def test_one_svd_and_one_eigvalsh_per_cut(self, monkeypatch):
+        dims = (2, 3, 2, 2)
+        grid = _real_grid(np.random.default_rng(5), dims, 40)
+        calls = {"svd": 0, "eigvalsh": 0}
+        per_cut = []
+
+        def spy(name):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        step = entmean.linalg._gram_steps
+
+        def counted_step(*args):
+            before = dict(calls)
+            result = step(*args)
+            per_cut.append({name: calls[name] - before[name] for name in calls})
+            return result
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, spy(name))
+        monkeypatch.setattr(entmean.linalg, "_gram_steps", counted_step)
+        entmean.linalg.grid_cut_entropies(dims, grid)
+        assert len(per_cut) == len(enumerate_bipartitions(len(dims)))
+        assert all(c["svd"] <= 1 and c["eigvalsh"] <= 1 for c in per_cut), per_cut
+        # the product rows put cut 0|123 below the guard; row 1 solves every cut
+        assert calls["svd"] >= 1 and calls["eigvalsh"] >= 1

@@ -8,16 +8,22 @@ import pytest
 
 from entmean import (
     OrderingFinding,
+    PureState,
     SweepRow,
     SweepSpec,
     emit_csv,
     emit_plotscript,
     find_ordering_reversals,
     find_peak,
+    full_report,
+    make_family_a,
+    make_family_b,
+    make_family_c,
     run_sweep,
 )
 from entmean.closedform import closed_form_table, emit_closed_form_csv
-from entmean import sweep
+from entmean import states, sweep
+from entmean.states import family_grid
 from entmean.sweep import MAX_STEPS, family_state, measure_value
 
 BETA = 3.0 * math.pi / 5.0
@@ -177,6 +183,89 @@ class TestRunSweep:
             abs(r.values["gbc"] - f.values["gbc"]) for r, f in zip(rows, flipped)
         )
         assert worst <= 1e-10
+
+
+def _per_theta_values(family, theta, names):
+    report = full_report(family_state(family, theta))
+    return {name: getattr(report, name) for name in names}
+
+
+class TestGridRows:
+    """run_sweep measures its grid as one stack; every row is the per-theta report."""
+
+    @pytest.mark.parametrize("steps", [2, 3, 14, 201, 1001])
+    @pytest.mark.parametrize("family", ["a", "b", "c"])
+    def test_rows_equal_per_theta_reports(self, family, steps):
+        spec = SweepSpec(family=family, steps=steps)
+        for row in run_sweep(spec):
+            assert row.values == _per_theta_values(family, row.theta, spec.measures), (
+                f"{family} at theta={row.theta!r}"
+            )
+
+    def test_rows_equal_per_theta_reports_at_max_steps(self):
+        rows = run_sweep(SweepSpec(family="a", steps=MAX_STEPS, measures=("gbc",)))
+        assert len(rows) == MAX_STEPS
+        for row in rows:
+            assert row.values == _per_theta_values("a", row.theta, ("gbc",))
+
+    @pytest.mark.parametrize("family,index", [("c", 0), ("a", -1), ("c", -1)])
+    def test_guard_rows(self, family, index):
+        # theta = 0 of c is a product state, theta = pi/2 of a and c biseparable:
+        # their vanishing cuts go through the SVD below GRAM_GUARD
+        spec = SweepSpec(family=family, steps=201)
+        row = run_sweep(spec)[index]
+        assert row.values == _per_theta_values(family, row.theta, spec.measures)
+        assert row.values["gbc"] == row.values["gmc"] == row.values["ggm"] == 0.0
+
+    @pytest.mark.parametrize(
+        "family,builder", [("a", make_family_a), ("b", make_family_b), ("c", make_family_c)]
+    )
+    def test_family_states_are_grid_rows(self, family, builder):
+        thetas = [i * (math.pi / 2) / 200 for i in range(201)] + [-0.7, 2.5, 1e-300]
+        dims, grid = family_grid(family, thetas)
+        assert grid.dtype == np.float64 and grid.shape == (len(thetas), math.prod(dims))
+        for theta, row in zip(thetas, grid):
+            state = builder(theta)
+            assert state.dims == dims
+            assert state.amplitudes.real.tobytes() == row.tobytes()
+            assert not state.amplitudes.imag.any()
+
+    @pytest.mark.parametrize(
+        "bad,scale", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0 + 1e-9), (0.0, 0.5)]
+    )
+    def test_bad_rows_raise_the_pure_state_message(self, bad, scale):
+        _, grid = family_grid("a", [0.1, 0.2, 0.3])
+        grid[1, 3] += bad
+        grid[1] *= scale
+        with pytest.raises(ValueError) as expected:
+            PureState((2, 2, 2), grid[1])
+        with pytest.raises(ValueError) as raised:
+            states._check_rows(grid)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestMeasureDispatch:
+    """measure_value reads the field of full_report: one measure dispatch."""
+
+    def test_columns_keep_the_csv_order(self):
+        assert sweep.MEASURE_COLUMNS == ("gbc", "gmc", "ggm", "fill")
+
+    @pytest.mark.parametrize("family", ["a", "b", "c"])
+    def test_each_column_is_the_report_field(self, family):
+        columns = sweep.MEASURE_COLUMNS if family != "c" else ("gbc", "gmc", "ggm")
+        for theta in (0.0, 0.3, 0.9, math.pi / 2):
+            state = family_state(family, theta)
+            report = full_report(state)
+            for name in columns:
+                assert measure_value(state, name) == getattr(report, name)
+
+    def test_fill_off_three_qubits_raises(self):
+        with pytest.raises(ValueError, match="needs exactly 3 qubits"):
+            measure_value(family_state("c", 0.3), "fill")
+
+    def test_unknown_measure_raises(self):
+        with pytest.raises(ValueError, match="unknown measure 'area'"):
+            measure_value(family_state("a", 0.3), "area")
 
 
 class TestFindPeak:
