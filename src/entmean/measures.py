@@ -14,7 +14,6 @@ positive on genuinely entangled ones.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,16 +120,18 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
     return _report(rows, top, state.dims, regularized)
 
 
-def grid_reports(dims: tuple[int, ...], grid: np.ndarray) -> Iterator[MeasureReport]:
-    """Yield full_report of each row of a real (k, prod(dims)) grid of checked amplitudes.
+def grid_reports(dims: tuple[int, ...], grid: np.ndarray) -> list[MeasureReport]:
+    """full_report of each row of a real (k, prod(dims)) grid of checked amplitudes.
 
     One stacked pass over the cuts serves every row (linalg.grid_cut_entropies);
     each report equals full_report of the row's state on the dense path.
     """
     cuts, mixedness, top = grid_cut_entropies(dims, grid)
-    for row, row_top in zip(mixedness, top.tolist()):
-        rows = tuple((part, d_min, m) for (part, d_min), m in zip(cuts, row.tolist()))
-        yield _report(rows, row_top, dims, True)
+    reports = []
+    for row, row_top in zip(mixedness.tolist(), top.tolist()):
+        rows = tuple((part, d_min, m) for (part, d_min), m in zip(cuts, row))
+        reports.append(_report(rows, row_top, dims, True))
+    return reports
 
 
 def _report(rows, top: float, dims, regularized: bool) -> MeasureReport:

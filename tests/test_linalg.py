@@ -439,3 +439,26 @@ class TestStackedStep:
         assert all(c["svd"] <= 1 and c["eigvalsh"] <= 1 for c in per_cut), per_cut
         # the product rows put cut 0|123 below the guard; row 1 solves every cut
         assert calls["svd"] >= 1 and calls["eigvalsh"] >= 1
+
+
+class TestCutLayouts:
+    """Each cut's layout puts the smaller side first and matches reshape."""
+
+    @pytest.mark.parametrize(
+        "dims", [(2, 2), (4, 2, 3), (3, 2, 2, 4), (2, 4, 3, 2, 2), (2,) * 7],
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    def test_layout_is_the_cut_matrix_smaller_side_first(self, dims):
+        state = haar_state(dims, np.random.default_rng(len(dims)))
+        layouts = entmean.linalg._cut_layouts(dims)
+        assert [part for part, _, _, _ in layouts] == list(enumerate_bipartitions(len(dims)))
+        for part, order, d_a, d_b in layouts:
+            assert d_a <= d_b and d_a * d_b == math.prod(dims)
+            matrix = state.as_tensor().transpose(order).reshape(d_a, d_b)
+            cut = reshape(state, part)
+            assert np.array_equal(matrix, cut if cut.shape == (d_a, d_b) else cut.T)
+
+    def test_party_orders_cached_once_per_party_count(self):
+        orders = entmean.linalg._cut_orders
+        assert orders.cache_info().maxsize == entmean.states.MAX_PARTIES
+        assert orders(5) is orders(5)
