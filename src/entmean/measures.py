@@ -120,18 +120,22 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
     return _report(rows, top, state.dims, regularized)
 
 
-def grid_reports(dims: tuple[int, ...], grid: np.ndarray) -> list[MeasureReport]:
-    """full_report of each row of a real (k, prod(dims)) grid of checked amplitudes.
+def grid_columns(
+    dims: tuple[int, ...], grid: np.ndarray, names: tuple[str, ...]
+) -> list[dict[str, float]]:
+    """The named fields of full_report for each row of a real (k, prod(dims)) grid.
 
     One stacked pass over the cuts serves every row (linalg.grid_cut_entropies);
-    each report equals full_report of the row's state on the dense path.
+    each row's report equals full_report of the row's state on the dense path,
+    and only its named fields are kept, so a grid never holds k reports at once.
     """
     cuts, mixedness, top = grid_cut_entropies(dims, grid)
-    reports = []
-    for row, row_top in zip(mixedness.tolist(), top.tolist()):
-        rows = tuple((part, d_min, m) for (part, d_min), m in zip(cuts, row))
-        reports.append(_report(rows, row_top, dims, True))
-    return reports
+    columns = []
+    for row, row_top in zip(mixedness, top.tolist()):
+        rows = tuple((part, d_min, m) for (part, d_min), m in zip(cuts, row.tolist()))
+        report = _report(rows, row_top, dims, True)
+        columns.append({name: getattr(report, name) for name in names})
+    return columns
 
 
 def _report(rows, top: float, dims, regularized: bool) -> MeasureReport:

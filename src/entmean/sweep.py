@@ -115,15 +115,12 @@ class SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate every requested measure over the deterministic theta grid.
 
-    The grid is measured as one stack (measures.grid_reports); each row's
+    The grid is measured as one stack (measures.grid_columns); each row's
     values equal those of full_report(family_state(family, theta)).
     """
     thetas = [i * _THETA_MAX / (spec.steps - 1) for i in range(spec.steps)]
-    reports = measures.grid_reports(*family_grid(spec.family, thetas))
-    return [
-        SweepRow(spec.family, theta, {name: getattr(report, name) for name in spec.measures})
-        for theta, report in zip(thetas, reports)
-    ]
+    columns = measures.grid_columns(*family_grid(spec.family, thetas), spec.measures)
+    return [SweepRow(spec.family, theta, values) for theta, values in zip(thetas, columns)]
 
 
 @dataclass(frozen=True)
