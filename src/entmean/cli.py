@@ -23,6 +23,7 @@ from .sweep import (
     FAMILY_BUILDERS,
     SweepSpec,
     emit_csv,
+    emit_ordering,
     emit_plotscript,
     find_ordering_reversals,
     run_sweep,
@@ -154,9 +155,7 @@ def _cmd_ordering(args) -> int:
         "sep_min": args.sep_min,
         "findings": [vars(f) for f in findings],
     }
-    with open(args.out, "w", encoding="ascii", newline="") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    emit_ordering(doc, args.out)
     print(f"wrote {len(findings)} findings to {args.out}")
     return 0
 

@@ -1,5 +1,5 @@
 """Theta sweeps over the parameterized families, peak location, ordering
-analysis, and CSV/gnuplot emission.
+analysis, and CSV/gnuplot/JSON emission.
 
 Grids are deterministic (theta_i = i * (pi/2) / (steps - 1) on [0, pi/2]);
 identical specs produce byte-identical CSV files.  A sweep builds its whole
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -224,27 +225,29 @@ def find_ordering_reversals(
     match_tol and |y_a - y_b| >= sep_min, followed by the maximal
     opposite-slope intervals of each individual sweep (x rising while y
     falls, or vice versa).  Passing the same list twice scans it once.
-    More than MAX_FINDINGS pair findings raise ValueError.
+    More than MAX_FINDINGS pair findings, or a NaN tolerance (which no
+    comparison meets), raise ValueError.
     """
+    for name, tol in (("match_tol", match_tol), ("sep_min", sep_min)):
+        if math.isnan(tol):
+            raise ValueError(f"{name} must not be NaN")
     xa, ya = _column(rows_a, x), _column(rows_a, y)
     xb, yb = _column(rows_b, x), _column(rows_b, y)
+    # Python floats, converted once: the findings hold these very values
+    xb_f, yb_f = xb.tolist(), yb.tolist()
+    thetas_b = [row.theta for row in rows_b]
     findings = []
     # one row of the match at a time, so memory stays linear in the steps
-    for i in range(len(rows_a)):
-        matched = (np.abs(xa[i] - xb) <= match_tol) & (np.abs(ya[i] - yb) >= sep_min)
-        for j in np.flatnonzero(matched):
+    for row, x_a, y_a in zip(rows_a, xa.tolist(), ya.tolist()):
+        matched = (np.abs(x_a - xb) <= match_tol) & (np.abs(y_a - yb) >= sep_min)
+        for j in np.flatnonzero(matched).tolist():
             findings.append(
                 OrderingFinding(
                     kind="equal-x-different-y",
                     measure_x=x,
                     measure_y=y,
-                    theta_pair=(rows_a[i].theta, rows_b[j].theta),
-                    values={
-                        "x_a": float(xa[i]),
-                        "x_b": float(xb[j]),
-                        "y_a": float(ya[i]),
-                        "y_b": float(yb[j]),
-                    },
+                    theta_pair=(row.theta, thetas_b[j]),
+                    values={"x_a": x_a, "x_b": xb_f[j], "y_a": y_a, "y_b": yb_f[j]},
                 )
             )
         if len(findings) > MAX_FINDINGS:
@@ -328,6 +331,103 @@ def emit_plotscript(rows: list[SweepRow], path, csv_path) -> None:
         f"plot \\\n  {plots}\n"
     )
     _write_text(path, script)
+
+
+def emit_ordering(doc: dict, path) -> None:
+    """Write the ordering command's document as JSON, one finding at a time.
+
+    doc holds family_x, family_y, x, y, match_tol, sep_min and findings
+    (the fields of each OrderingFinding, as vars() gives them).  The bytes
+    equal json.dump(doc, indent=2, sort_keys=True) followed by a newline;
+    each finding kind has one fixed template in sorted key order, and the
+    file is written finding by finding, so memory does not grow with it.
+    """
+    findings = doc["findings"]
+    with open(path, "w", encoding="ascii", newline="") as handle:
+        handle.write(
+            "{\n"
+            f'  "family_x": {_quote(doc["family_x"])},\n'
+            f'  "family_y": {_quote(doc["family_y"])},\n'
+            '  "findings": ['
+        )
+        separator = "\n"
+        for finding in findings:
+            handle.write(separator)
+            handle.write(_FINDING_TEMPLATES[finding["kind"]](finding))
+            separator = ",\n"
+        handle.write(
+            ("\n  ]" if findings else "]") + ",\n"
+            f'  "match_tol": {_number(doc["match_tol"])},\n'
+            f'  "sep_min": {_number(doc["sep_min"])},\n'
+            f'  "x": {_quote(doc["x"])},\n'
+            f'  "y": {_quote(doc["y"])}\n'
+            "}\n"
+        )
+
+
+def _number(value: float) -> str:
+    """A float as json writes it, non-finite values included."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _pair_text(finding: dict) -> str:
+    theta_a, theta_b = finding["theta_pair"]
+    values = finding["values"]
+    return (
+        "    {\n"
+        '      "family": null,\n'
+        '      "kind": "equal-x-different-y",\n'
+        f'      "measure_x": {_quote(finding["measure_x"])},\n'
+        f'      "measure_y": {_quote(finding["measure_y"])},\n'
+        '      "theta_interval": null,\n'
+        '      "theta_pair": [\n'
+        f"        {_number(theta_a)},\n"
+        f"        {_number(theta_b)}\n"
+        "      ],\n"
+        '      "values": {\n'
+        f'        "x_a": {_number(values["x_a"])},\n'
+        f'        "x_b": {_number(values["x_b"])},\n'
+        f'        "y_a": {_number(values["y_a"])},\n'
+        f'        "y_b": {_number(values["y_b"])}\n'
+        "      }\n"
+        "    }"
+    )
+
+
+def _interval_text(finding: dict) -> str:
+    start, end = finding["theta_interval"]
+    values = finding["values"]
+    return (
+        "    {\n"
+        f'      "family": {_quote(finding["family"])},\n'
+        '      "kind": "opposite-slope-interval",\n'
+        f'      "measure_x": {_quote(finding["measure_x"])},\n'
+        f'      "measure_y": {_quote(finding["measure_y"])},\n'
+        '      "theta_interval": [\n'
+        f"        {_number(start)},\n"
+        f"        {_number(end)}\n"
+        "      ],\n"
+        '      "theta_pair": null,\n'
+        '      "values": {\n'
+        f'        "x_end": {_number(values["x_end"])},\n'
+        f'        "x_start": {_number(values["x_start"])},\n'
+        f'        "y_end": {_number(values["y_end"])},\n'
+        f'        "y_start": {_number(values["y_start"])}\n'
+        "      }\n"
+        "    }"
+    )
+
+
+_FINDING_TEMPLATES = {
+    "equal-x-different-y": _pair_text,
+    "opposite-slope-interval": _interval_text,
+}
 
 
 def _write_text(path, text: str) -> None:

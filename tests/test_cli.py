@@ -149,6 +149,11 @@ class TestClosedForm:
         assert code == 2
 
 
+def assert_json_dump_bytes(text):
+    """text is what json.dump(indent=2, sort_keys=True) writes for its document."""
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestOrdering:
     def test_findings_json(self, tmp_path):
         out = tmp_path / "findings.json"
@@ -159,7 +164,11 @@ class TestOrdering:
              "--steps", "401", "--out", str(out)]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        text = out.read_text()
+        doc = json.loads(text)
+        assert_json_dump_bytes(text)
+        # the tolerance is written as its float's repr, not its argument text
+        assert '"match_tol": 0.002,' in text
         assert doc["x"] == "gmc" and doc["y"] == "gbc"
         pairs = [f for f in doc["findings"] if f["kind"] == "equal-x-different-y"]
         assert pairs
@@ -183,6 +192,7 @@ class TestOrdering:
         )
         assert code == 0
         assert calls == ["c"]
+        assert_json_dump_bytes(out.read_text())
         findings = json.loads(out.read_text())["findings"]
         intervals = [
             tuple(f["theta_interval"]) for f in findings
@@ -203,6 +213,30 @@ class TestOrdering:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "more than 50 findings with match_tol=1.0 and sep_min=0.0" in err
+
+    @pytest.mark.parametrize("option", ["--match-tol", "--sep-min"])
+    def test_nan_tolerance_exits_2_without_a_file(self, tmp_path, capsys, option):
+        out = tmp_path / "nan.json"
+        code = main(
+            ["ordering", "--family-x", "a", "--family-y", "b", "--x", "gbc", "--y", "gmc",
+             option, "nan", "--steps", "21", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+        name = option[2:].replace("-", "_")
+        assert f"{name} must not be NaN" in capsys.readouterr().err
+
+    def test_infinite_match_tol_written_as_infinity(self, tmp_path):
+        out = tmp_path / "inf.json"
+        code = main(
+            ["ordering", "--family-x", "a", "--family-y", "b", "--x", "gbc", "--y", "gmc",
+             "--match-tol", "inf", "--sep-min", "0.3", "--steps", "21", "--out", str(out)]
+        )
+        assert code == 0
+        text = out.read_text()
+        assert_json_dump_bytes(text)
+        assert '"match_tol": Infinity,' in text
+        assert json.loads(text)["findings"]
 
     def test_fill_against_family_c_exits_2(self, tmp_path, capsys):
         code = main(

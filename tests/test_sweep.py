@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from entmean import (
     SweepRow,
     SweepSpec,
     emit_csv,
+    emit_ordering,
     emit_plotscript,
     find_ordering_reversals,
     find_peak,
@@ -528,6 +530,21 @@ class TestOrderingReversals:
         # the check runs after every row, so at most one row passes the cap
         assert len(built) <= 100 + len(rows_b)
 
+    @pytest.mark.parametrize("name", ["match_tol", "sep_min"])
+    def test_nan_tolerance_rejected(self, name):
+        # every comparison with NaN is false, so it would mine nothing silently
+        rows = synthetic_rows("a", [0.1, 0.2, 0.3], [0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            find_ordering_reversals(rows, rows, x="x", y="y", **{name: math.nan})
+
+    def test_infinite_tolerances_accepted(self):
+        rows_a = synthetic_rows("a", [0.1, 0.2], [0.1, 0.2])
+        rows_b = synthetic_rows("b", [0.9, 0.8, 0.7], [0.9, 0.5, 0.1])
+        findings = find_ordering_reversals(
+            rows_a, rows_b, x="x", y="y", match_tol=math.inf, sep_min=-math.inf
+        )
+        assert [f.kind for f in findings] == ["equal-x-different-y"] * 6
+
     def test_finding_fields(self):
         rows_a = run_sweep(SweepSpec(family="a", steps=201))
         rows_b = run_sweep(SweepSpec(family="b", steps=201))
@@ -604,3 +621,97 @@ class TestEmission:
         assert lines[0] == "n,gbc_ghz,gbc_w,ratio"
         assert len(lines) == 20
         assert lines[1].startswith("2,1.0,1.0,1.0")
+
+
+def ordering_doc(findings, x, y, match_tol, sep_min, family_x="a", family_y="b"):
+    """The document the ordering command writes, for the given findings."""
+    return {
+        "family_x": family_x,
+        "family_y": family_y,
+        "x": x,
+        "y": y,
+        "match_tol": match_tol,
+        "sep_min": sep_min,
+        "findings": [vars(f) for f in findings],
+    }
+
+
+class TestOrderingWriter:
+    """emit_ordering writes the bytes of json.dump(doc, indent=2, sort_keys=True)."""
+
+    @staticmethod
+    def assert_writes_json(doc, path):
+        emit_ordering(doc, path)
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_no_findings(self, tmp_path):
+        rows = run_sweep(SweepSpec(family="b", steps=51))
+        findings = find_ordering_reversals(rows, rows, x="gbc", y="gbc", sep_min=1e-3)
+        assert findings == []
+        self.assert_writes_json(
+            ordering_doc(findings, "gbc", "gbc", 1e-4, 1e-3, "b", "b"), tmp_path / "o.json"
+        )
+
+    def test_only_intervals(self, tmp_path):
+        rows_a = synthetic_rows("a", [0.1, 0.3, 0.2, 0.4, 0.5], [0.5, 0.2, 0.6, 0.1, 0.2])
+        rows_b = synthetic_rows("b", [0.9, 0.8, 0.8, 0.7], [0.1, 0.2, 0.3, 0.4])
+        findings = find_ordering_reversals(rows_a, rows_b, x="x", y="y", match_tol=-1.0)
+        assert [f.family for f in findings] == ["a", "b", "b"]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", -1.0, 1e-2), tmp_path / "o.json")
+
+    def test_same_family_run(self, tmp_path):
+        rows = run_sweep(SweepSpec(family="c", steps=201, measures=("gbc", "ggm")))
+        findings = find_ordering_reversals(rows, rows, x="gbc", y="ggm")
+        assert findings
+        self.assert_writes_json(
+            ordering_doc(findings, "gbc", "ggm", 1e-4, 1e-2, "c", "c"), tmp_path / "o.json"
+        )
+
+    def test_both_kinds_and_tolerances_unlike_their_text(self, tmp_path):
+        # 2e-3 prints as 0.002 and 1e-5 as 1e-05
+        rows_a = run_sweep(SweepSpec(family="a", steps=201, measures=("gmc", "gbc")))
+        rows_c = run_sweep(SweepSpec(family="c", steps=201, measures=("gmc", "gbc")))
+        findings = find_ordering_reversals(
+            rows_a, rows_c, x="gmc", y="gbc", match_tol=2e-3, sep_min=1e-5
+        )
+        assert {f.kind for f in findings} == {"equal-x-different-y", "opposite-slope-interval"}
+        doc = ordering_doc(findings, "gmc", "gbc", 2e-3, 1e-5, "a", "c")
+        self.assert_writes_json(doc, tmp_path / "o.json")
+        text = (tmp_path / "o.json").read_text()
+        assert '"match_tol": 0.002,' in text and '"sep_min": 1e-05,' in text
+
+    def test_non_finite_tolerances(self, tmp_path):
+        rows_a = run_sweep(SweepSpec(family="a", steps=11, measures=("gmc", "gbc")))
+        rows_b = run_sweep(SweepSpec(family="b", steps=11, measures=("gmc", "gbc")))
+        findings = find_ordering_reversals(
+            rows_a, rows_b, x="gmc", y="gbc", match_tol=math.inf, sep_min=-math.inf
+        )
+        doc = ordering_doc(findings, "gmc", "gbc", math.inf, -math.inf)
+        self.assert_writes_json(doc, tmp_path / "o.json")
+        text = (tmp_path / "o.json").read_text()
+        assert '"match_tol": Infinity,' in text and '"sep_min": -Infinity,' in text
+
+    def test_memory_stays_flat_as_the_file_grows(self, tmp_path):
+        # a writer that joins the whole document first holds all of it at once
+        values = np.random.default_rng(13).uniform(size=(20_000, 6)).tolist()
+        findings = [
+            OrderingFinding(
+                kind="equal-x-different-y",
+                measure_x="gmc",
+                measure_y="gbc",
+                theta_pair=(v[0], v[1]),
+                values=dict(zip(("x_a", "x_b", "y_a", "y_b"), v[2:])),
+            )
+            for v in values
+        ]
+        doc = ordering_doc(findings, "gmc", "gbc", 1e-4, 1e-2)
+        out = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            emit_ordering(doc, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 7 * 2**20
+        assert peak < 2**20
