@@ -22,6 +22,7 @@ from .states import PureState, make_ghz, make_w
 from .sweep import (
     FAMILY_BUILDERS,
     SweepSpec,
+    _require_tolerances,
     emit_csv,
     emit_ordering,
     emit_plotscript,
@@ -138,6 +139,8 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_ordering(args) -> int:
+    # before the sweeps, which take 250-350 ms at 10001 steps
+    _require_tolerances(args.match_tol, args.sep_min)
     needed = tuple(dict.fromkeys((args.x, args.y)))
     # one sweep per distinct family; the miner scans a repeated list once
     rows = {f: run_sweep(SweepSpec(family=f, steps=args.steps, measures=needed))

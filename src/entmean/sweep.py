@@ -228,9 +228,7 @@ def find_ordering_reversals(
     More than MAX_FINDINGS pair findings, or a NaN tolerance (which no
     comparison meets), raise ValueError.
     """
-    for name, tol in (("match_tol", match_tol), ("sep_min", sep_min)):
-        if math.isnan(tol):
-            raise ValueError(f"{name} must not be NaN")
+    _require_tolerances(match_tol, sep_min)
     xa, ya = _column(rows_a, x), _column(rows_a, y)
     xb, yb = _column(rows_b, x), _column(rows_b, y)
     # Python floats, converted once: the findings hold these very values
@@ -259,6 +257,13 @@ def find_ordering_reversals(
     if rows_b is not rows_a:
         findings.extend(_opposite_slope_intervals(rows_b, x, y, xb, yb))
     return findings
+
+
+def _require_tolerances(match_tol: float, sep_min: float) -> None:
+    """Reject a NaN tolerance, which no comparison meets."""
+    for name, tol in (("match_tol", match_tol), ("sep_min", sep_min)):
+        if math.isnan(tol):
+            raise ValueError(f"{name} must not be NaN")
 
 
 def _column(rows: list[SweepRow], name: str) -> np.ndarray:

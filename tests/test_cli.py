@@ -214,13 +214,17 @@ class TestOrdering:
         assert "more than 50 findings with match_tol=1.0 and sep_min=0.0" in err
 
     @pytest.mark.parametrize("option", ["--match-tol", "--sep-min"])
-    def test_nan_tolerance_exits_2_without_a_file(self, tmp_path, capsys, option):
+    def test_nan_tolerance_exits_2_without_a_file(self, tmp_path, monkeypatch, capsys, option):
+        # rejected before the sweeps, which a spy sees never start
+        sweeps = []
+        monkeypatch.setattr(entmean.cli, "run_sweep", lambda spec: sweeps.append(spec))
         out = tmp_path / "nan.json"
         code = main(
             ["ordering", "--family-x", "a", "--family-y", "b", "--x", "gbc", "--y", "gmc",
-             option, "nan", "--steps", "21", "--out", str(out)]
+             option, "nan", "--steps", "10001", "--out", str(out)]
         )
         assert code == 2
+        assert not sweeps
         assert not out.exists()
         name = option[2:].replace("-", "_")
         assert f"{name} must not be NaN" in capsys.readouterr().err

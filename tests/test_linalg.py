@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,11 +178,17 @@ class TestDualPaths:
 
 
 def _svd_path(state):
-    """Reference for cut_entropies: every cut's concurrence and the largest weight."""
+    """Reference for cut_entropies: every cut's concurrence and the largest weight.
+
+    One SVD per cut; each value is concurrence(state, part) from the same
+    weights, the regularized form.
+    """
     values, top = [], 0.0
     for part in enumerate_bipartitions(state.n_parties):
-        values.append(concurrence(state, part))
-        top = max(top, float(schmidt_weights(state, part)[0]))
+        weights = schmidt_weights(state, part)
+        d_min = len(weights)
+        values.append(min(1.0, math.sqrt(d_min / (d_min - 1.0) * linear_entropy(weights))))
+        top = max(top, float(weights[0]))
     return values, top
 
 
@@ -462,3 +469,135 @@ class TestCutLayouts:
         orders = entmean.linalg._cut_orders
         assert orders.cache_info().maxsize == entmean.states.MAX_PARTIES
         assert orders(5) is orders(5)
+
+
+def _real_haar(dims, rng):
+    vec = rng.standard_normal(math.prod(dims))
+    return make_custom(dims, vec / np.linalg.norm(vec), renormalize=True)
+
+
+def _shuffled_product(n, split, rng):
+    """Haar(split qubits) x Haar(n - split qubits) on shuffled parties, and the product cut."""
+    product = np.kron(haar_state([2] * split, rng).amplitudes,
+                      haar_state([2] * (n - split), rng).amplitudes)
+    perm = rng.permutation(n)
+    state = permute_parties(make_custom([2] * n, product, renormalize=True), perm)
+    # party i of the shuffled state is party perm[i] of the product
+    return state, Bipartition.from_parties(np.flatnonzero(perm < split), n)
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+TREE_MIN = entmean.linalg._TREE_MIN_QUBITS
+
+
+class TestTraceTree:
+    """Dense qubit states from _TREE_MIN_QUBITS up: one GEMM per balanced side, the rest traced."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Count the calls that take the partial-trace tree."""
+        calls = []
+        original = entmean.linalg._tree_cut_entropies
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(entmean.linalg, "_tree_cut_entropies", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", range(TREE_MIN, 14))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_agrees_with_the_svd_path(self, n, field, walks):
+        rng = np.random.default_rng(300 + n)
+        state = (_real_haar if field == "real" else haar_state)([2] * n, rng)
+        rows, top = cut_entropies(state)
+        assert len(walks) == 1
+        values = [value for _, value in full_report(state).per_bipartition]
+        ref_values, ref_top = _svd_path(state)
+        assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12
+        assert abs(top - ref_top) <= 1e-12
+        parts = enumerate_bipartitions(n)
+        assert [part for part, _, _ in rows] == list(parts)
+        assert [d_min for _, d_min, _ in rows] == [
+            2 ** min(len(p.parties_a), len(p.parties_b)) for p in parts
+        ]
+
+    def test_small_symmetric_and_qudit_states_skip_the_tree(self, walks):
+        rng = np.random.default_rng(303)
+        states = [
+            haar_state([2] * (TREE_MIN - 1), rng),
+            make_w(12),
+            make_ghz(13),
+            symmetric_state(rng.standard_normal(13) + 1j * rng.standard_normal(13)),
+            haar_state([3] + [2] * (TREE_MIN - 1), rng),
+        ]
+        for state in states:
+            full_report(state)
+        assert not walks
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_product_cuts_on_tree_nodes_stay_exactly_zero(self, n, walks):
+        rng = np.random.default_rng(310 + n)
+        for split in range(1, n // 2 + 1):
+            state, part = _shuffled_product(n, split, rng)
+            report = full_report(state)
+            assert report.gbc == report.gmc == report.ggm == 0.0, split
+            assert dict(report.per_bipartition)[part] < 1e-12, split
+            assert all(0.0 <= v <= 1.0 for _, v in report.per_bipartition), split
+        assert len(walks) == n // 2
+
+    def test_values_unchanged_by_party_permutations_and_local_unitaries(self):
+        rng = np.random.default_rng(312)
+        state = haar_state([2] * 12, rng)
+        base = dict(full_report(state).per_bipartition)
+        perm = rng.permutation(12)
+        # party i of the permuted state is party perm[i] of the original
+        for part, value in full_report(permute_parties(state, perm)).per_bipartition:
+            original = Bipartition.from_parties([perm[i] for i in part.parties_a], 12)
+            assert abs(value - base[original]) <= 1e-12
+        rotated = state
+        for party in range(12):
+            rotated = apply_local_unitary(rotated, party, haar_unitary(2, rng))
+        for part, value in full_report(rotated).per_bipartition:
+            assert abs(value - base[part]) <= 1e-12
+
+    def test_memory_holds_one_reduced_matrix_per_level(self, walks):
+        state = haar_state([2] * 13, np.random.default_rng(313))
+        cut_entropies(state)  # the per-qubit-count plan and party orders are cached
+        tracemalloc.start()
+        try:
+            cut_entropies(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 1716 64x64 complex matrices of one whole level take about 112 MB
+        assert peak < 4 * 2**20
+        assert len(walks) == 2
+
+    def test_eigen_solves_no_more_than_the_per_cut_loop(self, monkeypatch, walks):
+        rng = np.random.default_rng(314)
+        states = {"haar12": (haar_state([2] * 12, rng), 12)}
+        states["haar6xhaar6"] = (_shuffled_product(12, 6, rng)[0], 0)
+        for name, (state, solves) in states.items():
+            with monkeypatch.context() as patch:
+                calls = _count_eigvalsh(patch)
+                cut_entropies(state)
+            assert len(calls) == solves, name
+            with monkeypatch.context() as patch:
+                patch.setattr(entmean.linalg, "_TREE_MIN_QUBITS", 15)
+                loop_calls = _count_eigvalsh(patch)
+                cut_entropies(state)
+            assert solves <= len(loop_calls), name
+        assert len(walks) == 2
