@@ -179,8 +179,9 @@ def _tree_cut_entropies(tensor: np.ndarray):
         return tensor.transpose(order).reshape(d_a, d_b)
 
     mixedness = [0.0] * len(layouts)
+    # the purity of each cut left for an eigen solve; 0 for the guarded cuts
+    purities = np.zeros(len(layouts))
     levels = [None] * (tensor.ndim // 2)
-    pending = []
     top = 0.0
     for c, depth, shape, d in walk:
         if shape is None:
@@ -198,12 +199,11 @@ def _tree_cut_entropies(tensor: np.ndarray):
             top = max(top, weights[0])
         else:
             mixedness[c] = float(1.0 - purity)
-            pending.append((purity, c))
+            purities[c] = purity
     # P <= lambda_max <= sqrt(P): in descending P, the first cut whose sqrt(P)
     # does not exceed the top ends the solves
-    pending.sort(reverse=True)
-    for purity, c in pending:
-        if math.sqrt(purity) <= top:
+    for c in np.argsort(-purities).tolist():
+        if math.sqrt(purities[c]) <= top:
             break
         matrix = cut_matrix(c)
         top = max(top, np.linalg.eigvalsh(matrix @ matrix.conj().T)[-1])
@@ -228,6 +228,7 @@ def _trace_plan(n: int) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]
     full = (1 << n) - 1
     half = n // 2
     walk = []
+    shapes = {}  # one tuple per (k, size), shared by every walk entry
 
     def visit(side, size, depth):
         # the children drop one of the parties 0..low-1, which all lie in side
@@ -235,8 +236,9 @@ def _trace_plan(n: int) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]
         for k in range(low):
             child = side & ~(1 << k)
             a, b = 1 << k, 1 << (size - k - 1)
+            shape = shapes.setdefault((k, size), (a, 2, b, a, 2, b))
             c = index[child if child & 1 else full ^ child]
-            walk.append((c, depth + 1, (a, 2, b, a, 2, b), a * b))
+            walk.append((c, depth + 1, shape, a * b))
             if size > 2:
                 visit(child, size - 1, depth + 1)
 
