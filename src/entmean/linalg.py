@@ -179,8 +179,7 @@ def _tree_cut_entropies(tensor: np.ndarray):
         return tensor.transpose(order).reshape(d_a, d_b)
 
     mixedness = [0.0] * len(layouts)
-    # the purity of each cut left for an eigen solve; 0 for the guarded cuts
-    purities = np.zeros(len(layouts))
+    pending = []
     levels = [None] * (tensor.ndim // 2)
     top = 0.0
     for c, depth, shape, d in walk:
@@ -199,11 +198,12 @@ def _tree_cut_entropies(tensor: np.ndarray):
             top = max(top, weights[0])
         else:
             mixedness[c] = float(1.0 - purity)
-            purities[c] = purity
+            pending.append((purity, c))
     # P <= lambda_max <= sqrt(P): in descending P, the first cut whose sqrt(P)
     # does not exceed the top ends the solves
-    for c in np.argsort(-purities).tolist():
-        if math.sqrt(purities[c]) <= top:
+    pending.sort(reverse=True)
+    for purity, c in pending:
+        if math.sqrt(purity) <= top:
             break
         matrix = cut_matrix(c)
         top = max(top, np.linalg.eigvalsh(matrix @ matrix.conj().T)[-1])
