@@ -11,7 +11,6 @@ from entmean import (
     Bipartition,
     PureState,
     apply_local_unitary,
-    concurrence,
     enumerate_bipartitions,
     full_report,
     gbc,
@@ -29,6 +28,19 @@ import entmean.linalg
 from entmean.linalg import GRAM_GUARD, cut_entropies
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _spy(monkeypatch, owner, name):
+    """Let owner.name record the arguments of each call in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def _spectrum_purity(state, part):
@@ -290,15 +302,7 @@ class TestSymmetricPath:
     @pytest.fixture
     def shortcuts(self, monkeypatch):
         """Count the calls that take the symmetric path."""
-        calls = []
-        original = entmean.linalg._symmetric_cut_entropies
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(entmean.linalg, "_symmetric_cut_entropies", spy)
-        return calls
+        return _spy(monkeypatch, entmean.linalg, "_symmetric_cut_entropies")
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_agrees_with_the_dense_path(self, n, shortcuts, monkeypatch):
@@ -486,18 +490,6 @@ def _shuffled_product(n, split, rng):
     return state, Bipartition.from_parties(np.flatnonzero(perm < split), n)
 
 
-def _count_eigvalsh(monkeypatch):
-    calls = []
-    original = np.linalg.eigvalsh
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
-
-
 TREE_MIN = entmean.linalg._TREE_MIN_QUBITS
 
 
@@ -507,15 +499,7 @@ class TestTraceTree:
     @pytest.fixture
     def walks(self, monkeypatch):
         """Count the calls that take the partial-trace tree."""
-        calls = []
-        original = entmean.linalg._tree_cut_entropies
-
-        def spy(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(entmean.linalg, "_tree_cut_entropies", spy)
-        return calls
+        return _spy(monkeypatch, entmean.linalg, "_tree_cut_entropies")
 
     @pytest.mark.parametrize("n", range(TREE_MIN, 14))
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -592,12 +576,12 @@ class TestTraceTree:
         states["haar6xhaar6"] = (_shuffled_product(12, 6, rng)[0], 0)
         for name, (state, solves) in states.items():
             with monkeypatch.context() as patch:
-                calls = _count_eigvalsh(patch)
+                calls = _spy(patch, np.linalg, "eigvalsh")
                 cut_entropies(state)
             assert len(calls) == solves, name
             with monkeypatch.context() as patch:
                 patch.setattr(entmean.linalg, "_TREE_MIN_QUBITS", 15)
-                loop_calls = _count_eigvalsh(patch)
+                loop_calls = _spy(patch, np.linalg, "eigvalsh")
                 cut_entropies(state)
             assert solves <= len(loop_calls), name
         assert len(walks) == 2
