@@ -24,11 +24,14 @@ are GEMM leaves.  A cut below GRAM_GUARD still takes the SVD of its cut
 matrix, built from the tensor, so product cuts on tree nodes keep their
 exact zeros.  The walk is depth first and holds one reduced matrix per
 level, at most n//2 of them and none above 2^(n//2) square, where holding a
-whole level would take about 112 MB at 13 qubits.  The eigen solves wait
-for the walk's purities: the cuts are then taken in descending purity
-while sqrt(P) exceeds the top, each Gram matrix rebuilt by the GEMM of its
-cut matrix, so the top comes from the per-cut loop's GEMM and solve.  The
-walk is planned once per qubit count.
+whole level would take about 112 MB at 13 qubits.  The walk is planned once
+per qubit count.
+
+The per-cut loop and the tree share one eigen-solve queue
+(_queued_cut_entropies).  The solves wait for every cut's purity; the cuts
+are then taken in descending purity while sqrt(P) exceeds the top, each
+Gram matrix rebuilt by the GEMM of its cut matrix, so on either path the
+top comes from that GEMM and its solve.
 
 grid_cut_entropies runs the dense pass on a whole real grid of states at
 once, one stacked step per cut, with the bits of the pass on each row.
@@ -99,7 +102,8 @@ def cut_entropies(
     cut stays at round-off far below the product-cut threshold.  The
     largest Schmidt weight over all cuts is exact to round-off: since
     P <= lambda_max <= sqrt(P), a cut whose sqrt(P) does not exceed the
-    largest weight found so far cannot hold the maximum and is not solved.
+    largest weight found so far cannot hold the maximum, so the cuts are
+    solved in descending P until the first such cut.
     A permutation-symmetric qubit state takes one small Dicke-basis matrix
     per cut size instead, and any other qubit state of _TREE_MIN_QUBITS or
     more parties the partial-trace tree (see the module docstring).
@@ -115,12 +119,9 @@ def cut_entropies(
         return _symmetric_cut_entropies(tensor, parts)
     if tensor.ndim >= _TREE_MIN_QUBITS and all(d == 2 for d in tensor.shape):
         return _tree_cut_entropies(tensor)
-    rows = []
-    top = 0.0
-    for part, order, d_a, d_b in _cut_layouts(state.dims):
-        mixedness, top = _gram_step(tensor.transpose(order).reshape(d_a, d_b), top)
-        rows.append((part, d_a, mixedness))
-    return tuple(rows), float(top)
+    layouts = _cut_layouts(state.dims)
+    grams = ((c, _gram(_cut_matrix(tensor, layout))) for c, layout in enumerate(layouts))
+    return _queued_cut_entropies(tensor, layouts, grams)
 
 
 def grid_cut_entropies(
@@ -174,41 +175,60 @@ def _tree_cut_entropies(tensor: np.ndarray):
     """cut_entropies of a dense qubit state by the partial-trace tree (module docstring)."""
     walk, layouts = _trace_plan(tensor.ndim)
 
-    def cut_matrix(c):
-        _, order, d_a, d_b = layouts[c]
-        return tensor.transpose(order).reshape(d_a, d_b)
+    def grams():
+        levels = [None] * (tensor.ndim // 2)
+        for c, depth, shape, d in walk:
+            if shape is None:
+                rho = _gram(_cut_matrix(tensor, layouts[c]))
+            else:
+                r = levels[depth - 1].reshape(shape)
+                rho = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(d, d)
+            levels[depth] = rho
+            yield c, rho
 
+    return _queued_cut_entropies(tensor, layouts, grams())
+
+
+def _queued_cut_entropies(tensor: np.ndarray, layouts, grams):
+    """cut_entropies from the (cut index, reduced Gram matrix) pairs of every cut.
+
+    Each cut's purity P decides: below GRAM_GUARD its linear entropy and
+    largest weight come from the SVD of its cut matrix, built from the
+    tensor; otherwise it waits in the eigen-solve queue.  P <= lambda_max <=
+    sqrt(P), so the queue is taken in descending P and the first cut whose
+    sqrt(P) does not exceed the top ends the solves.  Each solve rebuilds
+    its cut's Gram matrix by the GEMM of the cut matrix.
+    """
     mixedness = [0.0] * len(layouts)
     pending = []
-    levels = [None] * (tensor.ndim // 2)
     top = 0.0
-    for c, depth, shape, d in walk:
-        if shape is None:
-            matrix = cut_matrix(c)
-            rho = matrix @ matrix.conj().T
-        else:
-            r = levels[depth - 1].reshape(shape)
-            rho = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(d, d)
-        levels[depth] = rho
-        purity = np.vdot(rho, rho).real
+    for c, gram in grams:
+        purity = float(np.vdot(gram, gram).real)
         if 1.0 - purity < GRAM_GUARD:
-            s = np.linalg.svd(cut_matrix(c), compute_uv=False)
+            s = np.linalg.svd(_cut_matrix(tensor, layouts[c]), compute_uv=False)
             weights = s * s
             mixedness[c] = linear_entropy(weights)
             top = max(top, weights[0])
         else:
-            mixedness[c] = float(1.0 - purity)
+            mixedness[c] = 1.0 - purity
             pending.append((purity, c))
-    # P <= lambda_max <= sqrt(P): in descending P, the first cut whose sqrt(P)
-    # does not exceed the top ends the solves
     pending.sort(reverse=True)
     for purity, c in pending:
         if math.sqrt(purity) <= top:
             break
-        matrix = cut_matrix(c)
-        top = max(top, np.linalg.eigvalsh(matrix @ matrix.conj().T)[-1])
+        top = max(top, np.linalg.eigvalsh(_gram(_cut_matrix(tensor, layouts[c])))[-1])
     rows = tuple((part, d_a, m) for (part, _, d_a, _), m in zip(layouts, mixedness))
     return rows, float(top)
+
+
+def _cut_matrix(tensor: np.ndarray, layout) -> np.ndarray:
+    """The matrix of one (part, axis order, d_a, d_b) cut layout, rows the smaller side."""
+    _, order, d_a, d_b = layout
+    return tensor.transpose(order).reshape(d_a, d_b)
+
+
+def _gram(matrix: np.ndarray) -> np.ndarray:
+    return matrix @ matrix.conj().T
 
 
 # one plan per qubit count, like the party orders
@@ -253,7 +273,7 @@ def _trace_plan(n: int) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]
 
 def _gram_step(matrix: np.ndarray, top: float) -> tuple[float, float]:
     """(linear entropy, largest weight so far) after one cut matrix, rows the smaller side."""
-    gram = matrix @ matrix.conj().T
+    gram = _gram(matrix)
     purity = np.vdot(gram, gram).real
     mixedness = 1.0 - purity
     if mixedness < GRAM_GUARD:
@@ -272,10 +292,12 @@ def _gram_steps(matrices: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.n
     which numpy evaluates with the dot product np.vdot uses, and the
     decompositions run the same LAPACK routine per matrix, one stacked svd
     for the rows below GRAM_GUARD and one stacked eigvalsh for the rows
-    whose sqrt(P) exceeds their top.  A single state keeps _gram_step: as a
-    stack of one (made complex-capable) this gives the same reports, but the
-    stack bookkeeping cut full_report's cuts per second by 20-30% on the
-    benchmark's 12-qubit and mixed qudit states (BENCH_15.json).
+    whose sqrt(P) exceeds their top.  The single-state pass solves fewer
+    cuts, in descending purity, but every cut that can hold a row's largest
+    weight is solved on both, so the tops agree.  A single state keeps its
+    own pass: as a stack of one (made complex-capable) this gives the same
+    reports, but the stack bookkeeping cut full_report's cuts per second by
+    20-30% on the benchmark's 12-qubit and mixed qudit states (BENCH_15.json).
     """
     k = len(matrices)
     grams = matrices @ matrices.transpose(0, 2, 1)

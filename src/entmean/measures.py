@@ -123,19 +123,33 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
 def grid_columns(
     dims: tuple[int, ...], grid: np.ndarray, names: tuple[str, ...]
 ) -> list[dict[str, float]]:
-    """The named fields of full_report for each row of a real (k, prod(dims)) grid.
+    """The named measures (gbc, gmc, ggm, fill) of each row of a real (k, prod(dims)) grid.
 
-    One stacked pass over the cuts serves every row (linalg.grid_cut_entropies);
-    each row's report equals full_report of the row's state on the dense path,
-    and only its named fields are kept, so a grid never holds k reports at once.
+    One stacked pass over the cuts serves every row (linalg.grid_cut_entropies),
+    and each row's values equal those of full_report of the row's state on the
+    dense path, as Python floats.  The concurrences, gmc and ggm are taken
+    column-wise, with the IEEE operations of _concurrence, _gmc and _ggm.  gbc
+    and the fill stay per row: numpy's log is not math.log to the last bit,
+    and fsum and the fourth root have no bit-equal array form.
     """
     cuts, mixedness, top = grid_cut_entropies(dims, grid)
-    columns = []
-    for row, row_top in zip(mixedness, top.tolist()):
-        rows = tuple((part, d_min, m) for (part, d_min), m in zip(cuts, row.tolist()))
-        report = _report(rows, row_top, dims, True)
-        columns.append({name: getattr(report, name) for name in names})
-    return columns
+    d_min = np.array([d for _, d in cuts], dtype=float)
+    conc = np.minimum(1.0, np.sqrt(d_min / (d_min - 1.0) * mixedness))
+    product = (conc < ZERO_CUT_TOL).any(axis=1)
+    columns = {}
+    if "gmc" in names:
+        columns["gmc"] = np.where(product, 0.0, conc.min(axis=1)).tolist()
+    if "ggm" in names:
+        columns["ggm"] = np.where(product, 0.0, np.maximum(0.0, 1.0 - top)).tolist()
+    if "gbc" in names or "fill" in names:
+        rows = conc.tolist()
+        if "gbc" in names:
+            columns["gbc"] = [_log_mean(values)[0] for values in rows]
+        if "fill" in names:
+            # full_report has a fill on three qubits only
+            three_qubits = dims == (2, 2, 2)
+            columns["fill"] = [_fill(values) if three_qubits else None for values in rows]
+    return [dict(zip(names, values)) for values in zip(*(columns[name] for name in names))]
 
 
 def _report(rows, top: float, dims, regularized: bool) -> MeasureReport:

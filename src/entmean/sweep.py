@@ -356,10 +356,24 @@ def emit_ordering(doc: dict, path) -> None:
             '  "findings": ['
         )
         separator = "\n"
+        # (theta_a, x_a, y_a) of the last pair finding; no float is this object
+        row_a = (object(),) * 3
         for finding in findings:
             handle.write(separator)
-            handle.write(_FINDING_TEMPLATES[finding["kind"]](finding))
             separator = ",\n"
+            kind = finding["kind"]
+            if kind != "equal-x-different-y":
+                _require_known("finding kind", kind, _FINDING_KINDS)
+                handle.write(_interval_text(finding))
+                continue
+            values = finding["values"]
+            theta_a, x_a, y_a = finding["theta_pair"][0], values["x_a"], values["y_a"]
+            # the findings of one sweep-a row share these very float objects, so
+            # their text is formatted once; identity, not equality: -0.0 == 0.0
+            if not (theta_a is row_a[0] and x_a is row_a[1] and y_a is row_a[2]):
+                row_a = (theta_a, x_a, y_a)
+                row_a_text = tuple(map(_number, row_a))
+            handle.write(_pair_text(finding, *row_a_text))
         handle.write(
             ("\n  ]" if findings else "]") + ",\n"
             f'  "match_tol": {_number(doc["match_tol"])},\n'
@@ -381,8 +395,9 @@ def _number(value: float) -> str:
     return float.__repr__(value)
 
 
-def _pair_text(finding: dict) -> str:
-    theta_a, theta_b = finding["theta_pair"]
+def _pair_text(finding: dict, theta_a: str, x_a: str, y_a: str) -> str:
+    """One pair finding, its row-a numbers given as text."""
+    theta_b = finding["theta_pair"][1]
     values = finding["values"]
     return (
         "    {\n"
@@ -392,13 +407,13 @@ def _pair_text(finding: dict) -> str:
         f'      "measure_y": {_quote(finding["measure_y"])},\n'
         '      "theta_interval": null,\n'
         '      "theta_pair": [\n'
-        f"        {_number(theta_a)},\n"
+        f"        {theta_a},\n"
         f"        {_number(theta_b)}\n"
         "      ],\n"
         '      "values": {\n'
-        f'        "x_a": {_number(values["x_a"])},\n'
+        f'        "x_a": {x_a},\n'
         f'        "x_b": {_number(values["x_b"])},\n'
-        f'        "y_a": {_number(values["y_a"])},\n'
+        f'        "y_a": {y_a},\n'
         f'        "y_b": {_number(values["y_b"])}\n'
         "      }\n"
         "    }"
@@ -429,10 +444,7 @@ def _interval_text(finding: dict) -> str:
     )
 
 
-_FINDING_TEMPLATES = {
-    "equal-x-different-y": _pair_text,
-    "opposite-slope-interval": _interval_text,
-}
+_FINDING_KINDS = ("equal-x-different-y", "opposite-slope-interval")
 
 
 def _write_text(path, text: str) -> None:

@@ -280,11 +280,13 @@ class TestOnePass:
     @pytest.mark.parametrize(
         "state, eigen_solves",
         [
-            (haar_state([2, 2, 2], np.random.default_rng(47)), 3),
+            # the solves run in descending purity and stop at the first cut
+            # whose sqrt(P) cannot exceed the largest weight found
+            (haar_state([2, 2, 2], np.random.default_rng(47)), 1),
             # symmetric: one matrix per cut size; the 1|3 size solves to 3/4,
             # and the 2|2 size has sqrt(P) < 3/4
             (make_w(4), 1),
-            (haar_state([3, 2, 2, 2], np.random.default_rng(53)), 7),
+            (haar_state([3, 2, 2, 2], np.random.default_rng(53)), 3),
             # every cut ties at 1/2, so no bound prunes: one solve per cut size
             (make_ghz(12), 6),
         ],

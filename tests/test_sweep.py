@@ -192,6 +192,19 @@ def _per_theta_values(family, theta, names):
     return {name: getattr(report, name) for name in names}
 
 
+def _assert_row_is_report(family, row, names):
+    """The row's values are the per-theta report's fields bit for bit, as Python floats.
+
+    == would accept -0.0 for 0.0 and an np.float64 for a float.
+    """
+    expected = _per_theta_values(family, row.theta, names)
+    where = f"{family} at theta={row.theta!r}"
+    assert list(row.values) == list(expected), where
+    for name, value in row.values.items():
+        assert type(value) is float, f"{where}: {name} is {type(value).__name__}"
+        assert value.hex() == float.hex(expected[name]), f"{where}: {name}"
+
+
 class TestGridRows:
     """run_sweep measures its grid as one stack; every row is the per-theta report."""
 
@@ -200,15 +213,15 @@ class TestGridRows:
     def test_rows_equal_per_theta_reports(self, family, steps):
         spec = SweepSpec(family=family, steps=steps)
         for row in run_sweep(spec):
-            assert row.values == _per_theta_values(family, row.theta, spec.measures), (
-                f"{family} at theta={row.theta!r}"
-            )
+            _assert_row_is_report(family, row, spec.measures)
 
     def test_rows_equal_per_theta_reports_at_max_steps(self):
-        rows = run_sweep(SweepSpec(family="a", steps=MAX_STEPS, measures=("gbc",)))
-        assert len(rows) == MAX_STEPS
-        for row in rows:
-            assert row.values == _per_theta_values("a", row.theta, ("gbc",))
+        for family in ("a", "b", "c"):
+            spec = SweepSpec(family=family, steps=MAX_STEPS)
+            rows = run_sweep(spec)
+            assert len(rows) == MAX_STEPS
+            for row in rows:
+                _assert_row_is_report(family, row, spec.measures)
 
     @pytest.mark.parametrize("family,index", [("c", 0), ("a", -1), ("c", -1)])
     def test_guard_rows(self, family, index):
@@ -216,8 +229,9 @@ class TestGridRows:
         # their vanishing cuts go through the SVD below GRAM_GUARD
         spec = SweepSpec(family=family, steps=201)
         row = run_sweep(spec)[index]
-        assert row.values == _per_theta_values(family, row.theta, spec.measures)
-        assert row.values["gbc"] == row.values["gmc"] == row.values["ggm"] == 0.0
+        _assert_row_is_report(family, row, spec.measures)
+        for name in ("gbc", "gmc", "ggm"):
+            assert row.values[name].hex() == "0x0.0p+0", name
 
     @pytest.mark.parametrize(
         "family,builder", [("a", make_family_a), ("b", make_family_b), ("c", make_family_c)]
@@ -628,6 +642,17 @@ def ordering_doc(findings, x, y, match_tol, sep_min, family_x="a", family_y="b")
     }
 
 
+def _pair_finding(theta_a, x_a, y_a):
+    """A pair finding holding the given row-a objects."""
+    return OrderingFinding(
+        kind="equal-x-different-y",
+        measure_x="x",
+        measure_y="y",
+        theta_pair=(theta_a, 1.5),
+        values={"x_a": x_a, "x_b": 0.5, "y_a": y_a, "y_b": 0.1},
+    )
+
+
 class TestOrderingWriter:
     """emit_ordering writes the bytes of json.dump(doc, indent=2, sort_keys=True)."""
 
@@ -685,6 +710,41 @@ class TestOrderingWriter:
         self.assert_writes_json(doc, tmp_path / "o.json")
         text = (tmp_path / "o.json").read_text()
         assert '"match_tol": Infinity,' in text and '"sep_min": -Infinity,' in text
+
+    def test_row_a_text_follows_each_changed_object(self, tmp_path):
+        theta, x, y = 0.25, 0.5, 0.75
+        interval = OrderingFinding(
+            kind="opposite-slope-interval",
+            measure_x="x",
+            measure_y="y",
+            theta_interval=(0.0, 1.0),
+            family="a",
+            values={"x_start": 0.1, "x_end": 0.2, "y_start": 0.4, "y_end": 0.3},
+        )
+        findings = [
+            _pair_finding(theta, x, y),
+            _pair_finding(theta, x, y),
+            interval,
+            _pair_finding(theta, x, y),
+            _pair_finding(theta, 0.125, y),
+            _pair_finding(theta, 0.125, 0.875),
+            _pair_finding(0.375, 0.125, 0.875),
+        ]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", 1e-4, 1e-2), tmp_path / "o.json")
+
+    def test_negative_zero_after_an_equal_zero(self, tmp_path):
+        zero, negative = 0.0, -0.0
+        assert zero == negative and zero is not negative
+        findings = [
+            _pair_finding(zero, zero, zero),
+            _pair_finding(negative, negative, negative),
+            _pair_finding(negative, zero, negative),
+            _pair_finding(negative, zero, zero),
+        ]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", 1e-4, 1e-2), tmp_path / "o.json")
+        text = (tmp_path / "o.json").read_text()
+        # theta_b, x_b and y_b are positive: the six -0.0 are all row-a values
+        assert text.count("-0.0") == 6
 
     def test_memory_stays_flat_as_the_file_grows(self, tmp_path):
         # a writer that joins the whole document first holds all of it at once
