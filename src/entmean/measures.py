@@ -141,14 +141,15 @@ def grid_columns(
         columns["gmc"] = np.where(product, 0.0, conc.min(axis=1)).tolist()
     if "ggm" in names:
         columns["ggm"] = np.where(product, 0.0, np.maximum(0.0, 1.0 - top)).tolist()
-    if "gbc" in names or "fill" in names:
-        rows = conc.tolist()
-        if "gbc" in names:
-            columns["gbc"] = [_log_mean(values)[0] for values in rows]
-        if "fill" in names:
-            # full_report has a fill on three qubits only
-            three_qubits = dims == (2, 2, 2)
-            columns["fill"] = [_fill(values) if three_qubits else None for values in rows]
+    # one row of Python floats at a time, so the grid is not held twice
+    if "gbc" in names:
+        columns["gbc"] = [_log_mean(values)[0] for values in map(np.ndarray.tolist, conc)]
+    if "fill" in names:
+        # full_report has a fill on three qubits only
+        three_qubits = dims == (2, 2, 2)
+        columns["fill"] = [
+            _fill(values) if three_qubits else None for values in map(np.ndarray.tolist, conc)
+        ]
     return [dict(zip(names, values)) for values in zip(*(columns[name] for name in names))]
 
 
