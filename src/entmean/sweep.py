@@ -33,6 +33,13 @@ MAX_STEPS = 10_001
 # upper bound on the pair findings of one mining run: a tolerance every pair
 # meets would otherwise list about MAX_STEPS**2 of them
 MAX_FINDINGS = 250_000
+# the miner gathers the candidate pairs of rows with narrow x-windows into
+# blocks of at most _BLOCK_BUDGET pairs.  A row whose window is wider than
+# _WIDE_WINDOW (at most _BLOCK_BUDGET) is tested on its own: numpy compares
+# a scalar with a contiguous slice several times faster per element than a
+# gathered pair, and that pays for the per-row calls near this width.
+_BLOCK_BUDGET = 4096
+_WIDE_WINDOW = 256
 _THETA_MAX = math.pi / 2.0
 # golden-section theta tolerance, far above the float spacing on [0, pi/2]
 _PEAK_TOL = 1e-6
@@ -232,31 +239,87 @@ def find_ordering_reversals(
     xa, ya = _column(rows_a, x), _column(rows_a, y)
     xb, yb = _column(rows_b, x), _column(rows_b, y)
     # Python floats, converted once: the findings hold these very values
-    xb_f, yb_f = xb.tolist(), yb.tolist()
+    xa_f, ya_f, xb_f, yb_f = xa.tolist(), ya.tolist(), xb.tolist(), yb.tolist()
+    thetas_a = [row.theta for row in rows_a]
     thetas_b = [row.theta for row in rows_b]
     findings = []
-    # one row of the match at a time, so memory stays linear in the steps
-    for row, x_a, y_a in zip(rows_a, xa.tolist(), ya.tolist()):
-        matched = (np.abs(x_a - xb) <= match_tol) & (np.abs(y_a - yb) >= sep_min)
-        for j in np.flatnonzero(matched).tolist():
-            findings.append(
-                OrderingFinding(
-                    kind="equal-x-different-y",
-                    measure_x=x,
-                    measure_y=y,
-                    theta_pair=(row.theta, thetas_b[j]),
-                    values={"x_a": x_a, "x_b": xb_f[j], "y_a": y_a, "y_b": yb_f[j]},
-                )
-            )
-        if len(findings) > MAX_FINDINGS:
+    for block_a, block_b in _matched_pairs(xa, ya, xb, yb, match_tol, sep_min):
+        # checked before the block's findings are built
+        if len(findings) + len(block_a) > MAX_FINDINGS:
             raise ValueError(
                 f"more than {MAX_FINDINGS} findings with match_tol={match_tol!r} "
                 f"and sep_min={sep_min!r}; tighten the tolerances"
             )
+        findings.extend(
+            OrderingFinding(
+                kind="equal-x-different-y",
+                measure_x=x,
+                measure_y=y,
+                theta_pair=(thetas_a[i], thetas_b[j]),
+                values={"x_a": xa_f[i], "x_b": xb_f[j], "y_a": ya_f[i], "y_b": yb_f[j]},
+            )
+            for i, j in zip(block_a.tolist(), block_b.tolist())
+        )
     findings.extend(_opposite_slope_intervals(rows_a, x, y, xa, ya))
     if rows_b is not rows_a:
         findings.extend(_opposite_slope_intervals(rows_b, x, y, xb, yb))
     return findings
+
+
+def _matched_pairs(xa, ya, xb, yb, match_tol, sep_min):
+    """Yield index arrays (i, j) of the pairs with |xa[i] - xb[j]| <=
+    match_tol and |ya[i] - yb[j]| >= sep_min, row-major, j ascending within
+    a row, a block of rows at a time.
+
+    Float subtraction is monotone, so the j that match one i on x form one
+    window of b sorted by x.  Each window is found by binary search on
+    bounds widened past the few ulps by which rounding can move its edges,
+    and the predicate above decides every candidate in it.
+    """
+    if not match_tol >= 0.0:
+        return  # no |difference| is at most a negative tolerance
+    order = np.argsort(xb, kind="stable")
+    xs, ys = xb[order], yb[order]
+    # a bound that overflows only widens its window; an infinite x makes its
+    # bounds NaN, which sorts last: fmax drops it from the lower bound, and
+    # as the upper one it already ends the window at the end of b
+    with np.errstate(over="ignore", invalid="ignore"):
+        pad = (np.abs(xa) + match_tol) * 2.0**-40
+        lo = np.searchsorted(xs, np.fmax(xa - match_tol - pad, -np.inf), side="left")
+        hi = np.searchsorted(xs, xa + match_tol + pad, side="right")
+    width = np.maximum(hi - lo, 0)
+    ends = np.cumsum(width)
+    start = 0
+    for wide in np.flatnonzero(width > _WIDE_WINDOW).tolist() + [len(xa)]:
+        # rows with narrow windows: the candidates of as many rows as the
+        # budget holds, gathered into one flat test
+        while start < wide:
+            done = ends[start - 1] if start else 0
+            stop = min(int(np.searchsorted(ends, done + _BLOCK_BUDGET, side="right")), wide)
+            w = width[start:stop]
+            rows = np.repeat(np.arange(start, stop), w)
+            # each row's sorted positions lo, lo + 1, ..., hi - 1
+            offsets = ends[start:stop] - w - done
+            pos = np.arange(len(rows)) + np.repeat(lo[start:stop] - offsets, w)
+            hit = (np.abs(xa[rows] - xs[pos]) <= match_tol) & (
+                np.abs(ya[rows] - ys[pos]) >= sep_min
+            )
+            rows, cols = rows[hit], order[pos[hit]]
+            ranked = np.lexsort((cols, rows))
+            yield rows[ranked], cols[ranked]
+            start = stop
+        if wide == len(xa):
+            return
+        # a wide window: the row's own scalar test on its contiguous slice
+        # (the mask's own nonzero, without flatnonzero's Python-level calls)
+        row_lo, row_hi = int(lo[wide]), int(hi[wide])
+        (hit,) = (
+            (np.abs(xa[wide] - xs[row_lo:row_hi]) <= match_tol)
+            & (np.abs(ya[wide] - ys[row_lo:row_hi]) >= sep_min)
+        ).nonzero()
+        if len(hit):
+            yield np.full(len(hit), wide), np.sort(order[row_lo + hit])
+        start = wide + 1
 
 
 def _require_tolerances(match_tol: float, sep_min: float) -> None:
@@ -356,8 +419,12 @@ def emit_ordering(doc: dict, path) -> None:
             '  "findings": ['
         )
         separator = "\n"
-        # (theta_a, x_a, y_a) of the last pair finding; no float is this object
-        row_a = (object(),) * 3
+        # the measure names and (theta_a, x_a, y_a) of the last pair finding,
+        # compared by identity (-0.0 == 0.0); nothing is this placeholder
+        names = row_a = (object(),) * 3
+        # (theta_b, x_b, y_b) and their texts, by id(theta_b), for the b rows
+        # of this row-a run and of the one before it
+        rows_b, rows_b_before = {}, {}
         for finding in findings:
             handle.write(separator)
             separator = ",\n"
@@ -366,14 +433,24 @@ def emit_ordering(doc: dict, path) -> None:
                 _require_known("finding kind", kind, _FINDING_KINDS)
                 handle.write(_interval_text(finding))
                 continue
+            if not (finding["measure_x"] is names[0] and finding["measure_y"] is names[1]):
+                names = (finding["measure_x"], finding["measure_y"])
+                head = _pair_head(*names)
             values = finding["values"]
-            theta_a, x_a, y_a = finding["theta_pair"][0], values["x_a"], values["y_a"]
-            # the findings of one sweep-a row share these very float objects, so
-            # their text is formatted once; identity, not equality: -0.0 == 0.0
+            theta_a, theta_b = finding["theta_pair"]
+            x_a, y_a = values["x_a"], values["y_a"]
+            # the findings of one sweep-a row share these very float objects
             if not (theta_a is row_a[0] and x_a is row_a[1] and y_a is row_a[2]):
                 row_a = (theta_a, x_a, y_a)
                 row_a_text = tuple(map(_number, row_a))
-            handle.write(_pair_text(finding, *row_a_text))
+                rows_b, rows_b_before = {}, rows_b
+            # and the findings of one sweep-b row recur from row-a run to run
+            x_b, y_b = values["x_b"], values["y_b"]
+            row_b = rows_b.get(id(theta_b)) or rows_b_before.get(id(theta_b))
+            if not (row_b and row_b[0] is theta_b and row_b[1] is x_b and row_b[2] is y_b):
+                row_b = (theta_b, x_b, y_b, _number(theta_b), _number(x_b), _number(y_b))
+            rows_b[id(theta_b)] = row_b
+            handle.write(_pair_text(head, *row_a_text, *row_b[3:]))
         handle.write(
             ("\n  ]" if findings else "]") + ",\n"
             f'  "match_tol": {_number(doc["match_tol"])},\n'
@@ -395,26 +472,33 @@ def _number(value: float) -> str:
     return float.__repr__(value)
 
 
-def _pair_text(finding: dict, theta_a: str, x_a: str, y_a: str) -> str:
-    """One pair finding, its row-a numbers given as text."""
-    theta_b = finding["theta_pair"][1]
-    values = finding["values"]
+def _pair_head(measure_x: str, measure_y: str) -> str:
+    """The text of a pair finding up to its first number."""
     return (
         "    {\n"
         '      "family": null,\n'
         '      "kind": "equal-x-different-y",\n'
-        f'      "measure_x": {_quote(finding["measure_x"])},\n'
-        f'      "measure_y": {_quote(finding["measure_y"])},\n'
+        f'      "measure_x": {_quote(measure_x)},\n'
+        f'      "measure_y": {_quote(measure_y)},\n'
         '      "theta_interval": null,\n'
         '      "theta_pair": [\n'
-        f"        {theta_a},\n"
-        f"        {_number(theta_b)}\n"
+        "        "
+    )
+
+
+def _pair_text(
+    head: str, theta_a: str, x_a: str, y_a: str, theta_b: str, x_b: str, y_b: str
+) -> str:
+    """One pair finding from its head and its numbers as text."""
+    return (
+        f"{head}{theta_a},\n"
+        f"        {theta_b}\n"
         "      ],\n"
         '      "values": {\n'
         f'        "x_a": {x_a},\n'
-        f'        "x_b": {_number(values["x_b"])},\n'
+        f'        "x_b": {x_b},\n'
         f'        "y_a": {y_a},\n'
-        f'        "y_b": {_number(values["y_b"])}\n'
+        f'        "y_b": {y_b}\n'
         "      }\n"
         "    }"
     )

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entmean import (
     OrderingFinding,
@@ -522,7 +524,10 @@ class TestOrderingReversals:
         assert 100 <= len(pairs) <= 1000
         assert peak < 16 * 2**20
 
-    def test_findings_capped_inside_the_row_loop(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "budget", [sweep._BLOCK_BUDGET, 30], ids=["default_budget", "one_row_per_block"]
+    )
+    def test_no_finding_built_past_the_cap(self, monkeypatch, budget):
         rows_a = synthetic_rows("a", np.zeros(20), np.zeros(20))
         rows_b = synthetic_rows("b", np.zeros(30), np.ones(30))
         # every one of the 20 x 30 pairs matches
@@ -539,10 +544,12 @@ class TestOrderingReversals:
 
         monkeypatch.setattr(sweep, "OrderingFinding", counted)
         monkeypatch.setattr(sweep, "MAX_FINDINGS", 100)
+        # a budget of 30 makes each row's window its own block
+        monkeypatch.setattr(sweep, "_BLOCK_BUDGET", budget)
         with pytest.raises(ValueError, match=r"100 findings with match_tol=1\.0 and sep_min=0\.0"):
             find_ordering_reversals(rows_a, rows_b, x="x", y="y", match_tol=1.0, sep_min=0.0)
-        # the check runs after every row, so at most one row passes the cap
-        assert len(built) <= 100 + len(rows_b)
+        # the count is checked before each block's findings are built
+        assert len(built) <= 100
 
     @pytest.mark.parametrize("name", ["match_tol", "sep_min"])
     def test_nan_tolerance_rejected(self, name):
@@ -561,6 +568,153 @@ class TestOrderingReversals:
         assert isinstance(pair, OrderingFinding)
         assert pair.theta_pair is not None and pair.theta_interval is None
         assert pair.measure_x == "gmc" and pair.measure_y == "gbc"
+
+
+def mask_pairs(rows_a, rows_b, x, y, match_tol, sep_min):
+    """Pair findings as (theta_pair, values), from a mask over all of b per row a."""
+    xb = np.array([row.values[x] for row in rows_b])
+    yb = np.array([row.values[y] for row in rows_b])
+    pairs = []
+    for row in rows_a:
+        x_a, y_a = row.values[x], row.values[y]
+        matched = (np.abs(x_a - xb) <= match_tol) & (np.abs(y_a - yb) >= sep_min)
+        for j in np.flatnonzero(matched).tolist():
+            b = rows_b[j]
+            pairs.append(
+                (
+                    (row.theta, b.theta),
+                    {"x_a": x_a, "x_b": b.values[x], "y_a": y_a, "y_b": b.values[y]},
+                )
+            )
+    return pairs
+
+
+def pair_hexes(pairs):
+    """float.hex of every number of the pairs, which tells -0.0 from 0.0."""
+    return [
+        [float.hex(v) for v in (*theta_pair, *values.values())] for theta_pair, values in pairs
+    ]
+
+
+_TOLERANCES = [0.0, -0.0, 5e-324, 1e-4, 0.1, 0.25, -1.0, -math.inf, math.inf]
+_X_VALUES = [0.0, -0.0, 5e-324, 1e-4, 0.1, 0.3, 0.5, 1.0, -0.25, math.inf, -math.inf]
+
+
+@st.composite
+def mining_cases(draw):
+    """Two sweeps whose x sit on each other's window edges, and tolerances."""
+    match_tol = draw(st.sampled_from(_TOLERANCES))
+    sep_min = draw(st.sampled_from([-math.inf, 0.0, -0.0, 0.25, 0.5, math.inf]))
+    values = st.sampled_from(_X_VALUES) | st.floats(-1.0, 1.0)
+    base = draw(st.lists(values, min_size=1, max_size=6))
+    # x_a +- match_tol, and the floats one and two steps either side of it
+    edges = []
+    for value in base:
+        for edge in (value - match_tol, value + match_tol):
+            edges += [edge, *(np.nextafter(edge, d) for d in (-math.inf, math.inf))]
+            edges += [np.nextafter(np.nextafter(edge, d), d) for d in (-math.inf, math.inf)]
+    edges = [float(e) for e in edges if not math.isnan(e)]
+    ys = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+    n_a = draw(st.integers(1, 24))
+    rows_a = synthetic_rows(
+        "a", draw(st.lists(st.sampled_from(base), min_size=n_a, max_size=n_a)),
+        draw(st.lists(ys, min_size=n_a, max_size=n_a)),
+    )
+    if draw(st.booleans()):
+        rows_b = rows_a
+    else:
+        n_b = draw(st.integers(1, 24))
+        rows_b = synthetic_rows(
+            "b", draw(st.lists(st.sampled_from(base + edges), min_size=n_b, max_size=n_b)),
+            draw(st.lists(ys, min_size=n_b, max_size=n_b)),
+        )
+    # (block budget, widest window gathered into a block): the defaults, and
+    # budgets small enough that blocks end inside runs of rows
+    defaults = (sweep._BLOCK_BUDGET, sweep._WIDE_WINDOW)
+    budgets = draw(st.sampled_from([defaults, (3, 2), (1, 1), (4, 0)]))
+    return rows_a, rows_b, match_tol, sep_min, budgets
+
+
+class TestOrderingMinerOracle:
+    """The x-window miner finds the pairs of a mask over all of b, in its order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mining_cases())
+    def test_pairs_equal_the_full_mask(self, case):
+        rows_a, rows_b, match_tol, sep_min, (budget, wide) = case
+        # inf - inf and the largest floats' differences warn in either form
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore", over="ignore"):
+            patch.setattr(sweep, "_BLOCK_BUDGET", budget)
+            patch.setattr(sweep, "_WIDE_WINDOW", wide)
+            findings = find_ordering_reversals(
+                rows_a, rows_b, x="x", y="y", match_tol=match_tol, sep_min=sep_min
+            )
+            expected = mask_pairs(rows_a, rows_b, "x", "y", match_tol, sep_min)
+        pairs = [(f.theta_pair, f.values) for f in findings if f.kind == "equal-x-different-y"]
+        assert pairs == expected
+        assert pair_hexes(pairs) == pair_hexes(expected)
+
+    def test_edges_of_the_tolerance(self):
+        # x_b at exactly x_a +- match_tol and at its float neighbours
+        tol = 0.1
+        xb = []
+        for edge in (0.3 - tol, 0.3 + tol):
+            xb += [np.nextafter(edge, -1.0), edge, np.nextafter(edge, 2.0)]
+        rows_a = synthetic_rows("a", [0.3], [0.0])
+        rows_b = synthetic_rows("b", xb, np.ones(len(xb)))
+        findings = find_ordering_reversals(
+            rows_a, rows_b, x="x", y="y", match_tol=tol, sep_min=0.5
+        )
+        assert findings
+        pairs = [(f.theta_pair, f.values) for f in findings]
+        assert pairs == mask_pairs(rows_a, rows_b, "x", "y", tol, 0.5)
+
+    @pytest.mark.parametrize("match_tol", [math.inf, 1.0, 0.0])
+    def test_infinite_x(self, match_tol):
+        # an infinite tolerance matches an infinite x_a with every finite x_b
+        rows_a = synthetic_rows("a", [math.inf, -math.inf, 0.5], [0.0, 0.0, 0.0])
+        rows_b = synthetic_rows("b", [math.inf, -math.inf, 0.0, 1.0], [1.0, 1.0, 1.0, 1.0])
+        with np.errstate(invalid="ignore"):
+            findings = find_ordering_reversals(
+                rows_a, rows_b, x="x", y="y", match_tol=match_tol, sep_min=0.5
+            )
+            expected = mask_pairs(rows_a, rows_b, "x", "y", match_tol, 0.5)
+        pairs = [(f.theta_pair, f.values) for f in findings if f.kind == "equal-x-different-y"]
+        assert pairs == expected
+        assert len(expected) == {math.inf: 10, 1.0: 2, 0.0: 0}[match_tol]
+
+    def test_blocks_cross_runs_of_equal_x(self, monkeypatch):
+        # narrow and wide windows alternate, and equal x values run across blocks
+        rng = np.random.default_rng(5)
+        xa = rng.choice([0.0, -0.0, 0.1, 0.2, 0.5], 200)
+        xb = np.concatenate([rng.choice([0.0, -0.0, 0.1], 120), rng.uniform(0.0, 1.0, 180)])
+        rows_a = synthetic_rows("a", xa, rng.uniform(size=200))
+        rows_b = synthetic_rows("b", xb, rng.uniform(size=300))
+        expected = mask_pairs(rows_a, rows_b, "x", "y", 1e-3, 0.2)
+        assert len(expected) > 1000
+        for budget, wide in [(sweep._BLOCK_BUDGET, sweep._WIDE_WINDOW), (50, 40), (7, 3)]:
+            monkeypatch.setattr(sweep, "_BLOCK_BUDGET", budget)
+            monkeypatch.setattr(sweep, "_WIDE_WINDOW", wide)
+            findings = find_ordering_reversals(
+                rows_a, rows_b, x="x", y="y", match_tol=1e-3, sep_min=0.2
+            )
+            pairs = [(f.theta_pair, f.values) for f in findings if f.kind == "equal-x-different-y"]
+            assert pairs == expected
+            assert pair_hexes(pairs) == pair_hexes(expected)
+
+    def test_findings_share_the_row_floats(self):
+        # one float object per row, as the writer's caches expect
+        rows_a = synthetic_rows("a", [0.1, 0.1], [0.0, 0.0])
+        rows_b = synthetic_rows("b", [0.1, 0.2, 0.1], [1.0, 1.0, 1.0])
+        pairs = find_ordering_reversals(rows_a, rows_b, x="x", y="y", match_tol=0.0, sep_min=0.5)
+        assert [f.theta_pair for f in pairs] == [
+            (ra.theta, rows_b[j].theta) for ra in rows_a for j in (0, 2)
+        ]
+        assert pairs[0].theta_pair[0] is pairs[1].theta_pair[0] is rows_a[0].theta
+        assert pairs[0].values["x_a"] is pairs[1].values["x_a"]
+        assert pairs[0].theta_pair[1] is pairs[2].theta_pair[1] is rows_b[0].theta
+        assert pairs[0].values["x_b"] is pairs[2].values["x_b"]
+        assert pairs[0].values["y_b"] is pairs[2].values["y_b"]
 
 
 class TestEmission:
@@ -642,14 +796,15 @@ def ordering_doc(findings, x, y, match_tol, sep_min, family_x="a", family_y="b")
     }
 
 
-def _pair_finding(theta_a, x_a, y_a):
-    """A pair finding holding the given row-a objects."""
+def _pair_finding(theta_a, x_a, y_a, row_b=(1.5, 0.5, 0.1), names=("x", "y")):
+    """A pair finding holding the given row-a and row-b objects."""
+    theta_b, x_b, y_b = row_b
     return OrderingFinding(
         kind="equal-x-different-y",
-        measure_x="x",
-        measure_y="y",
-        theta_pair=(theta_a, 1.5),
-        values={"x_a": x_a, "x_b": 0.5, "y_a": y_a, "y_b": 0.1},
+        measure_x=names[0],
+        measure_y=names[1],
+        theta_pair=(theta_a, theta_b),
+        values={"x_a": x_a, "x_b": x_b, "y_a": y_a, "y_b": y_b},
     )
 
 
@@ -745,6 +900,69 @@ class TestOrderingWriter:
         text = (tmp_path / "o.json").read_text()
         # theta_b, x_b and y_b are positive: the six -0.0 are all row-a values
         assert text.count("-0.0") == 6
+
+    def test_negative_zero_b_row_after_an_equal_zero(self, tmp_path):
+        zero, negative = 0.0, -0.0
+        findings = [
+            _pair_finding(0.25, 0.5, 0.75, (zero, zero, zero)),
+            _pair_finding(0.25, 0.5, 0.75, (negative, negative, negative)),
+            _pair_finding(0.25, 0.5, 0.75, (zero, negative, zero)),
+            _pair_finding(0.125, 0.5, 0.75, (zero, zero, negative)),
+            _pair_finding(0.125, 0.5, 0.75, (negative, zero, zero)),
+            _pair_finding(0.375, 0.5, 0.75, (zero, zero, zero)),
+        ]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", 1e-4, 1e-2), tmp_path / "o.json")
+        # every -0.0 is a row-b value: 3 + 1 + 1 + 1
+        assert (tmp_path / "o.json").read_text().count("-0.0") == 6
+
+    def test_one_theta_b_with_two_x_b_objects(self, tmp_path):
+        theta_b = 1.25
+        findings = [
+            _pair_finding(0.25, 0.5, 0.75, (theta_b, 0.5, 0.1)),
+            _pair_finding(0.25, 0.5, 0.75, (theta_b, 0.25, 0.1)),
+            _pair_finding(0.125, 0.5, 0.75, (theta_b, 0.5, 0.1)),
+            _pair_finding(0.125, 0.5, 0.75, (theta_b, 0.25, 0.1)),
+            _pair_finding(0.125, 0.5, 0.75, (theta_b, 0.25, 0.2)),
+        ]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", 1e-4, 1e-2), tmp_path / "o.json")
+
+    def test_b_row_texts_kept_for_two_row_a_runs(self, tmp_path, monkeypatch):
+        formatted = []
+        real_number = sweep._number
+
+        def counted(value):
+            formatted.append(value)
+            return real_number(value)
+
+        monkeypatch.setattr(sweep, "_number", counted)
+        kept = (1.25, 0.5, 0.1)
+        findings = [
+            _pair_finding(0.25, 0.5, 0.75, kept),  # run 1 formats row a and row b
+            _pair_finding(0.125, 0.5, 0.75, kept),  # run 2 finds it in run 1
+            _pair_finding(0.375, 0.5, 0.75, (1.5, 0.25, 0.2)),  # run 3: a new b row
+            _pair_finding(0.625, 0.5, 0.75, (1.0, 0.75, 0.3)),  # run 4: another one
+            _pair_finding(0.875, 0.5, 0.75, kept),  # run 5: kept is gone, formatted again
+        ]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", 1e-4, 1e-2), tmp_path / "o.json")
+        # three numbers per row-a run and per b-row miss, two more for the tolerances
+        assert len(formatted) == 3 * 5 + 3 * 4 + 2
+
+    def test_measure_names_change_mid_document(self, tmp_path):
+        # equal names that are other objects, then other names, then back
+        gmc, gbc = "gmc", "gbc"
+        gmc_again, gbc_again = "".join(["gm", "c"]), "".join(["gb", "c"])
+        assert gmc_again == gmc and gmc_again is not gmc
+        findings = [
+            _pair_finding(0.25, 0.5, 0.75, names=(gmc, gbc)),
+            _pair_finding(0.25, 0.5, 0.75, names=(gmc_again, gbc_again)),
+            _pair_finding(0.25, 0.5, 0.75),
+            _pair_finding(0.125, 0.5, 0.75),
+            _pair_finding(0.125, 0.5, 0.75, names=(gmc, "x")),
+            _pair_finding(0.125, 0.5, 0.75, names=(gmc, gbc)),
+        ]
+        self.assert_writes_json(ordering_doc(findings, "x", "y", 1e-4, 1e-2), tmp_path / "o.json")
+        text = (tmp_path / "o.json").read_text()
+        assert text.count('"measure_x": "gmc"') == 4 and text.count('"measure_y": "gbc"') == 3
 
     def test_memory_stays_flat_as_the_file_grows(self, tmp_path):
         # a writer that joins the whole document first holds all of it at once
