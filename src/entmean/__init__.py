@@ -1,10 +1,6 @@
 """entmean: genuine multipartite entanglement measures for pure states."""
 
-from .bipartitions import (
-    Bipartition,
-    cardinality_formula,
-    enumerate_bipartitions,
-)
+from .bipartitions import Bipartition, enumerate_bipartitions
 from .closedform import (
     ClosedFormRow,
     closed_form_table,
@@ -30,7 +26,6 @@ from .measures import (
 )
 from .states import (
     PureState,
-    apply_local_unitary,
     make_custom,
     make_family_a,
     make_family_b,
@@ -63,8 +58,6 @@ __all__ = [
     "PureState",
     "SweepRow",
     "SweepSpec",
-    "apply_local_unitary",
-    "cardinality_formula",
     "closed_form_table",
     "concurrence",
     "concurrence_fill",

@@ -43,17 +43,6 @@ class Bipartition:
     def parties_b(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.n_parties) if not self.subset_a >> k & 1)
 
-    @classmethod
-    def from_parties(cls, parties, n_parties: int) -> "Bipartition":
-        """Build from an iterable of party indices for one side of the cut."""
-        mask = 0
-        for p in parties:
-            p = int(p)
-            if not 0 <= p < n_parties:
-                raise ValueError(f"party {p} out of range for {n_parties} parties")
-            mask |= 1 << p
-        return cls(mask, n_parties)
-
     @property
     def label(self) -> str:
         """Text form like "02|1"; indices are comma-separated past party 9."""
@@ -93,12 +82,3 @@ def cut_multiplicity(n: int, m: int) -> int:
     count = math.comb(n, m)
     return count // 2 if 2 * m == n else count
 
-
-def cardinality_formula(n: int) -> int:
-    """Bipartition count as a sum of cut multiplicities over the smaller side.
-
-    Equals 2**(n-1) - 1 for every n >= 2.
-    """
-    if n < 2:
-        raise ValueError(f"party count must be >= 2, got {n}")
-    return sum(cut_multiplicity(n, m) for m in range(1, n // 2 + 1))

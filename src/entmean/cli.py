@@ -18,9 +18,8 @@ import sys
 
 from .closedform import closed_form_table, emit_closed_form_csv
 from .measures import full_report
-from .states import PureState, make_ghz, make_w
+from .states import FAMILIES, PureState, make_ghz, make_w
 from .sweep import (
-    FAMILY_BUILDERS,
     SweepSpec,
     _require_tolerances,
     emit_csv,
@@ -61,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.set_defaults(handler=_cmd_measure)
 
     sweep = sub.add_parser("sweep", help="theta sweep of one family")
-    families = sorted(FAMILY_BUILDERS)
+    families = sorted(FAMILIES)
     sweep.add_argument("--family", required=True, choices=families)
     sweep.add_argument("--steps", type=int, default=201)
     sweep.add_argument(

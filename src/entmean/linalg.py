@@ -27,10 +27,10 @@ level, at most n//2 of them and none above 2^(n//2) square, where holding a
 whole level would take about 112 MB at 13 qubits.  The walk is planned once
 per qubit count.
 
-The per-cut loop and the tree share one eigen-solve queue
+The per-cut loop, the tree and the Dicke path share one eigen-solve queue
 (_queued_cut_entropies).  The solves wait for every cut's purity; the cuts
 are then taken in descending purity while sqrt(P) exceeds the top, each
-Gram matrix rebuilt by the GEMM of its cut matrix, so on either path the
+Gram matrix rebuilt by the GEMM of its cut matrix, so on every path the
 top comes from that GEMM and its solve.
 
 grid_cut_entropies runs the dense pass on a whole real grid of states at
@@ -118,10 +118,15 @@ def cut_entropies(
     if _symmetric_qubits(tensor):
         return _symmetric_cut_entropies(tensor, parts)
     if tensor.ndim >= _TREE_MIN_QUBITS and all(d == 2 for d in tensor.shape):
-        return _tree_cut_entropies(tensor)
-    layouts = _cut_layouts(state.dims)
-    grams = ((c, _gram(_cut_matrix(tensor, layout))) for c, layout in enumerate(layouts))
-    return _queued_cut_entropies(tensor, layouts, grams)
+        walk, layouts = _trace_plan(tensor.ndim)
+        grams = _tree_grams(tensor, walk, layouts)
+    else:
+        layouts = _cut_layouts(state.dims)
+        grams = ((c, _gram(_cut_matrix(tensor, layout))) for c, layout in enumerate(layouts))
+    mixedness, top = _queued_cut_entropies(
+        lambda c: _cut_matrix(tensor, layouts[c]), len(layouts), grams
+    )
+    return tuple((part, d_a, m) for (part, _, d_a, _), m in zip(layouts, mixedness)), top
 
 
 def grid_cut_entropies(
@@ -171,41 +176,37 @@ def _cut_orders(n: int) -> tuple[tuple[Bipartition, tuple, tuple, tuple], ...]:
     )
 
 
-def _tree_cut_entropies(tensor: np.ndarray):
-    """cut_entropies of a dense qubit state by the partial-trace tree (module docstring)."""
-    walk, layouts = _trace_plan(tensor.ndim)
-
-    def grams():
-        levels = [None] * (tensor.ndim // 2)
-        for c, depth, shape, d in walk:
-            if shape is None:
-                rho = _gram(_cut_matrix(tensor, layouts[c]))
-            else:
-                r = levels[depth - 1].reshape(shape)
-                rho = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(d, d)
-            levels[depth] = rho
-            yield c, rho
-
-    return _queued_cut_entropies(tensor, layouts, grams())
+def _tree_grams(tensor: np.ndarray, walk, layouts):
+    """(cut index, Gram matrix) of each cut along the partial-trace tree's walk (module docstring)."""
+    levels = [None] * (tensor.ndim // 2)
+    for c, depth, shape, d in walk:
+        if shape is None:
+            rho = _gram(_cut_matrix(tensor, layouts[c]))
+        else:
+            r = levels[depth - 1].reshape(shape)
+            rho = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(d, d)
+        levels[depth] = rho
+        yield c, rho
 
 
-def _queued_cut_entropies(tensor: np.ndarray, layouts, grams):
-    """cut_entropies from the (cut index, reduced Gram matrix) pairs of every cut.
+def _queued_cut_entropies(cut_matrix, count: int, grams) -> tuple[list[float], float]:
+    """(linear entropies, largest weight) of count cuts from their (cut index, Gram matrix) pairs.
 
-    Each cut's purity P decides: below GRAM_GUARD its linear entropy and
-    largest weight come from the SVD of its cut matrix, built from the
-    tensor; otherwise it waits in the eigen-solve queue.  P <= lambda_max <=
-    sqrt(P), so the queue is taken in descending P and the first cut whose
-    sqrt(P) does not exceed the top ends the solves.  Each solve rebuilds
-    its cut's Gram matrix by the GEMM of the cut matrix.
+    cut_matrix(c) is cut c's matrix, rows the smaller side.  Each cut's
+    purity P decides: below GRAM_GUARD its linear entropy and largest weight
+    come from the SVD of its cut matrix; otherwise it waits in the
+    eigen-solve queue.  P <= lambda_max <= sqrt(P), so the queue is taken in
+    descending P and the first cut whose sqrt(P) does not exceed the top
+    ends the solves.  Each solve rebuilds its cut's Gram matrix by the GEMM
+    of the cut matrix.
     """
-    mixedness = [0.0] * len(layouts)
+    mixedness = [0.0] * count
     pending = []
     top = 0.0
     for c, gram in grams:
         purity = float(np.vdot(gram, gram).real)
         if 1.0 - purity < GRAM_GUARD:
-            s = np.linalg.svd(_cut_matrix(tensor, layouts[c]), compute_uv=False)
+            s = np.linalg.svd(cut_matrix(c), compute_uv=False)
             weights = s * s
             mixedness[c] = linear_entropy(weights)
             top = max(top, weights[0])
@@ -216,9 +217,8 @@ def _queued_cut_entropies(tensor: np.ndarray, layouts, grams):
     for purity, c in pending:
         if math.sqrt(purity) <= top:
             break
-        top = max(top, np.linalg.eigvalsh(_gram(_cut_matrix(tensor, layouts[c])))[-1])
-    rows = tuple((part, d_a, m) for (part, _, d_a, _), m in zip(layouts, mixedness))
-    return rows, float(top)
+        top = max(top, np.linalg.eigvalsh(_gram(cut_matrix(c)))[-1])
+    return mixedness, float(top)
 
 
 def _cut_matrix(tensor: np.ndarray, layout) -> np.ndarray:
@@ -271,33 +271,23 @@ def _trace_plan(n: int) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]
     return tuple(walk), layouts
 
 
-def _gram_step(matrix: np.ndarray, top: float) -> tuple[float, float]:
-    """(linear entropy, largest weight so far) after one cut matrix, rows the smaller side."""
-    gram = _gram(matrix)
-    purity = np.vdot(gram, gram).real
-    mixedness = 1.0 - purity
-    if mixedness < GRAM_GUARD:
-        s = np.linalg.svd(matrix, compute_uv=False)
-        weights = s * s
-        return linear_entropy(weights), max(top, weights[0])
-    if math.sqrt(purity) > top:
-        top = max(top, np.linalg.eigvalsh(gram)[-1])
-    return float(mixedness), top
-
-
 def _gram_steps(matrices: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_gram_step on each matrix of a real (k, d_a, d_b) stack, with one top per matrix.
+    """(linear entropies, tops) of one cut of a real (k, d_a, d_b) stack, one top per row.
 
-    Bit for bit the scalar step: the purity is a row-times-column matmul,
-    which numpy evaluates with the dot product np.vdot uses, and the
-    decompositions run the same LAPACK routine per matrix, one stacked svd
-    for the rows below GRAM_GUARD and one stacked eigvalsh for the rows
-    whose sqrt(P) exceeds their top.  The single-state pass solves fewer
-    cuts, in descending purity, but every cut that can hold a row's largest
-    weight is solved on both, so the tops agree.  A single state keeps its
-    own pass: as a stack of one (made complex-capable) this gives the same
-    reports, but the stack bookkeeping cut full_report's cuts per second by
-    20-30% on the benchmark's 12-qubit and mixed qudit states (BENCH_15.json).
+    Each row is one state's cut matrix, rows the smaller side.  Its Gram
+    purity P decides: below GRAM_GUARD its linear entropy and weight come
+    from an SVD; otherwise its linear entropy is 1 - P, and an eigen solve
+    of its Gram matrix raises its top only when sqrt(P) exceeds it.  The
+    purity is a row-times-column matmul, which numpy evaluates with the dot
+    product np.vdot uses, and the decompositions run the same LAPACK routine
+    per matrix, one stacked svd and one stacked eigvalsh, so each row gets
+    the bits of that step taken on its matrix alone.  The single-state
+    queue (_queued_cut_entropies) solves fewer cuts, in descending purity,
+    but every cut that can hold a row's largest weight is solved on both,
+    so the tops agree.  A single state keeps the queue: as a stack of one
+    (made complex-capable) this gives the same reports, but the stack
+    bookkeeping cut full_report's cuts per second by 20-30% on the
+    benchmark's 12-qubit and mixed qudit states (BENCH_15.json).
     """
     k = len(matrices)
     grams = matrices @ matrices.transpose(0, 2, 1)
@@ -338,28 +328,27 @@ def _symmetric_qubits(tensor: np.ndarray) -> bool:
 
 
 def _symmetric_cut_entropies(tensor: np.ndarray, parts):
-    """cut_entropies of a permutation-symmetric qubit state, one Gram step per cut size."""
+    """cut_entropies of a permutation-symmetric qubit state, one Dicke matrix per cut size."""
     n = tensor.ndim
     # a[k]: the amplitude every basis state of Hamming weight k shares
     a = np.array([tensor[(1,) * k + (0,) * (n - k)] for k in range(n + 1)])
-    by_size = [0.0]
-    top = 0.0
+    matrices = []
     for m in range(1, n // 2 + 1):
         binom_a = [math.comb(m, j) for j in range(m + 1)]
         binom_b = [math.comb(n - m, l) for l in range(n - m + 1)]
         # a_{j+l} sqrt(C(m, j) C(n-m, l)) in this direct form, one rounding in
         # the root: the Bell state keeps its exact concurrence 1.0
-        matrix = a[np.add.outer(range(m + 1), range(n - m + 1))] * np.sqrt(
-            np.outer(binom_a, binom_b)
+        matrices.append(
+            a[np.add.outer(range(m + 1), range(n - m + 1))] * np.sqrt(np.outer(binom_a, binom_b))
         )
-        mixedness, top = _gram_step(matrix, top)
-        by_size.append(mixedness)
+    grams = ((i, _gram(matrix)) for i, matrix in enumerate(matrices))
+    by_size, top = _queued_cut_entropies(matrices.__getitem__, len(matrices), grams)
     rows = []
     for part in parts:
         size = part.subset_a.bit_count()
         m = min(size, n - size)
-        rows.append((part, 2**m, by_size[m]))
-    return tuple(rows), float(top)
+        rows.append((part, 2**m, by_size[m - 1]))
+    return tuple(rows), top
 
 
 def linear_entropy(weights: np.ndarray) -> float:

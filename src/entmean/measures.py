@@ -22,9 +22,9 @@ from .bipartitions import Bipartition
 from .linalg import cut_entropies, grid_cut_entropies, linear_entropy, schmidt_weights
 from .states import PureState
 
-# The product-cut rule, applied by every measure through _biseparable: a cut
-# whose concurrence is below ZERO_CUT_TOL is a product cut, and then gbc, gmc,
-# ggm and the fill are exactly 0.0 rather than round-off.
+# The product-cut rule, applied by full_report and grid_columns: a cut whose
+# concurrence is below ZERO_CUT_TOL is a product cut, and then gbc, gmc, ggm
+# and the fill are exactly 0.0 rather than round-off.
 ZERO_CUT_TOL = 1e-12
 
 _FILL_NORMALIZATION = 16.0 / 3.0
@@ -47,28 +47,27 @@ def concurrence(
 
 
 def gbc(state: PureState, regularized: bool = True) -> float:
-    """Geometric mean of the concurrences over every bipartition.
+    """Geometric mean of the concurrences over every bipartition: full_report's gbc.
 
     Computed as exp(mean of logs) so the product of up to 2**(n-1) - 1
     factors never under- or overflows; returns exactly 0.0 as soon as any
     cut is a product cut.
     """
-    return _log_mean(_concurrences(cut_entropies(state)[0], regularized))[0]
+    return full_report(state, regularized).gbc
 
 
 def gmc(state: PureState, regularized: bool = True) -> float:
-    """Minimum bipartite concurrence over every bipartition."""
-    return _gmc(_concurrences(cut_entropies(state)[0], regularized))
+    """Minimum bipartite concurrence over every bipartition: full_report's gmc."""
+    return full_report(state, regularized).gmc
 
 
 def ggm(state: PureState) -> float:
-    """One minus the largest squared Schmidt coefficient over all cuts."""
-    rows, top = cut_entropies(state)
-    return _ggm(top, _concurrences(rows, regularized=True))
+    """One minus the largest squared Schmidt coefficient over all cuts: full_report's ggm."""
+    return full_report(state).ggm
 
 
 def concurrence_fill(state: PureState) -> float:
-    """Triangle-area measure for exactly three qubits.
+    """Triangle-area measure for exactly three qubits: full_report's fill.
 
     The sides of the triangle are the three squared one-to-other
     concurrences; the value is the fourth root of 16/3 times Heron's
@@ -80,7 +79,7 @@ def concurrence_fill(state: PureState) -> float:
         raise ValueError(
             f"concurrence fill needs exactly 3 qubits, got dims {state.dims}"
         )
-    return _fill(_concurrences(cut_entropies(state)[0], regularized=True))
+    return full_report(state).fill
 
 
 @dataclass(frozen=True)
@@ -115,9 +114,28 @@ class MeasureReport:
 
 
 def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
-    """Evaluate every applicable measure of one state from one pass over the cuts."""
+    """Evaluate every applicable measure of one state from one pass over the cuts.
+
+    gbc, gmc, ggm and concurrence_fill each return one field of this report.
+    """
     rows, top = cut_entropies(state)
-    return _report(rows, top, state.dims, regularized)
+    values = _concurrences(rows, regularized)
+    product_cut = any(v < ZERO_CUT_TOL for v in values)
+    mean, product = (0.0, 0.0) if product_cut else _log_mean(values)
+    fill = None
+    if state.dims == (2, 2, 2):
+        # the fill is always regularized
+        fill = 0.0 if product_cut else _fill(values if regularized else _concurrences(rows, True))
+    return MeasureReport(
+        per_bipartition=tuple((part, v) for (part, _, _), v in zip(rows, values)),
+        product_p=product,
+        cardinality=len(rows),
+        gbc=mean,
+        gmc=0.0 if product_cut else min(values),
+        # top: the largest Schmidt weight over all cuts
+        ggm=0.0 if product_cut else max(0.0, 1.0 - top),
+        fill=fill,
+    )
 
 
 def grid_columns(
@@ -128,7 +146,7 @@ def grid_columns(
     One stacked pass over the cuts serves every row (linalg.grid_cut_entropies),
     and each row's values equal those of full_report of the row's state on the
     dense path, as Python floats.  The concurrences, gmc and ggm are taken
-    column-wise, with the IEEE operations of _concurrence, _gmc and _ggm.  gbc
+    column-wise, with the IEEE operations of _concurrence and full_report.  gbc
     and the fill stay per row: numpy's log is not math.log to the last bit,
     and fsum and the fourth root have no bit-equal array form.
     """
@@ -141,35 +159,20 @@ def grid_columns(
         columns["gmc"] = np.where(product, 0.0, conc.min(axis=1)).tolist()
     if "ggm" in names:
         columns["ggm"] = np.where(product, 0.0, np.maximum(0.0, 1.0 - top)).tolist()
-    # one row of Python floats at a time, so the grid is not held twice
+
+    def rows():
+        # one row of Python floats at a time, so the grid is not held twice
+        return zip(product.tolist(), map(np.ndarray.tolist, conc))
+
     if "gbc" in names:
-        columns["gbc"] = [_log_mean(values)[0] for values in map(np.ndarray.tolist, conc)]
+        columns["gbc"] = [0.0 if zero else _log_mean(values)[0] for zero, values in rows()]
     if "fill" in names:
         # full_report has a fill on three qubits only
         three_qubits = dims == (2, 2, 2)
         columns["fill"] = [
-            _fill(values) if three_qubits else None for values in map(np.ndarray.tolist, conc)
+            (0.0 if zero else _fill(values)) if three_qubits else None for zero, values in rows()
         ]
     return [dict(zip(names, values)) for values in zip(*(columns[name] for name in names))]
-
-
-def _report(rows, top: float, dims, regularized: bool) -> MeasureReport:
-    """Every measure of one state from its (part, d_min, mixedness) rows and largest weight."""
-    values = _concurrences(rows, regularized)
-    mean, product = _log_mean(values)
-    fill = None
-    if dims == (2, 2, 2):
-        # the fill is always regularized
-        fill = _fill(values if regularized else _concurrences(rows, True))
-    return MeasureReport(
-        per_bipartition=tuple((part, v) for (part, _, _), v in zip(rows, values)),
-        product_p=product,
-        cardinality=len(rows),
-        gbc=mean,
-        gmc=_gmc(values),
-        ggm=_ggm(top, values),
-        fill=fill,
-    )
 
 
 def _concurrence(d_min: int, mixedness: float, regularized: bool) -> float:
@@ -182,37 +185,18 @@ def _concurrences(rows, regularized: bool) -> list[float]:
     return [_concurrence(d_min, mixedness, regularized) for _, d_min, mixedness in rows]
 
 
-def _biseparable(values) -> bool:
-    return any(v < ZERO_CUT_TOL for v in values)
-
-
 def _log_mean(values) -> tuple[float, float]:
-    """(geometric mean, product) of the concurrences from one sum of logs."""
-    if _biseparable(values):
-        return 0.0, 0.0
+    """(geometric mean, product) of concurrences free of product cuts, from one sum of logs."""
     # fsum over the canonical cut order: reproducible bit-for-bit and
     # insensitive to accumulation order.
     log_sum = math.fsum(map(math.log, values))
     return math.exp(log_sum / len(values)), math.exp(log_sum)
 
 
-def _gmc(values) -> float:
-    return 0.0 if _biseparable(values) else min(values)
-
-
-def _ggm(top: float, values) -> float:
-    # top: the largest Schmidt weight over all cuts
-    if _biseparable(values):
-        return 0.0
-    return max(0.0, 1.0 - top)
-
-
 def _fill(values) -> float:
-    # regularized concurrences in the canonical three-qubit order 0|12, 01|2,
-    # 02|1: party k alone is cut 0, 2, 1
+    # regularized concurrences, none of them a product cut, in the canonical
+    # three-qubit order 0|12, 01|2, 02|1: party k alone is cut 0, 2, 1
     c0, c2, c1 = values
-    if _biseparable(values):
-        return 0.0
     sides = [c0**2, c1**2, c2**2]
     for i in range(3):
         others = sides[(i + 1) % 3] + sides[(i + 2) % 3]

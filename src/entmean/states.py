@@ -212,8 +212,9 @@ def _family_c_rows(thetas) -> np.ndarray:
     return rows
 
 
-# family name -> (local dims, amplitude rows over a sequence of thetas)
-_FAMILY_ROWS = {
+# family name -> (local dims, amplitude rows over a sequence of thetas):
+# the one table of the parameterized families
+FAMILIES = {
     "a": ((2, 2, 2), _family_a_rows),
     "b": ((2, 2, 2), _family_b_rows),
     "c": ((2, 2, 2, 2), _family_c_rows),
@@ -221,7 +222,7 @@ _FAMILY_ROWS = {
 
 
 def _family_state(family: str, theta: float) -> PureState:
-    dims, build = _FAMILY_ROWS[family]
+    dims, build = FAMILIES[family]
     return PureState(dims, build((theta,))[0])
 
 
@@ -231,7 +232,7 @@ def family_grid(family: str, thetas) -> tuple[tuple[int, ...], np.ndarray]:
     Row i is bit for bit the amplitude vector of make_family_<family>(thetas[i]),
     and every row passes the finiteness and norm checks of PureState.
     """
-    dims, build = _FAMILY_ROWS[family]
+    dims, build = FAMILIES[family]
     rows = build(thetas)
     _check_rows(rows)
     return dims, rows
@@ -244,23 +245,6 @@ def _check_rows(rows: np.ndarray) -> None:
         # the row farthest from unit norm, its norm taken as PureState takes it
         norms = np.linalg.norm(rows, axis=1)
         _require_unit_norm(float(np.linalg.norm(rows[np.argmax(np.abs(norms - 1.0))])))
-
-
-def apply_local_unitary(state: PureState, party: int, matrix) -> PureState:
-    """Apply a d x d matrix to one party and revalidate the result.
-
-    Intended for unitaries: anything that changes the norm beyond the
-    construction tolerance is rejected by the PureState gate.
-    """
-    if not 0 <= party < state.n_parties:
-        raise ValueError(f"party {party} out of range for {state.n_parties} parties")
-    d = state.dims[party]
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.shape != (d, d):
-        raise ValueError(f"matrix shape {u.shape} does not match local dimension {d}")
-    rotated = np.tensordot(u, state.as_tensor(), axes=([1], [party]))
-    rotated = np.moveaxis(rotated, 0, party)
-    return PureState(state.dims, rotated.reshape(-1))
 
 
 def permute_parties(state: PureState, perm) -> PureState:

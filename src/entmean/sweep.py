@@ -16,14 +16,8 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import measures
-from .states import PureState, family_grid, make_family_a, make_family_b, make_family_c
+from .states import FAMILIES, PureState, _family_state, family_grid
 
-FAMILY_BUILDERS = {
-    "a": make_family_a,
-    "b": make_family_b,
-    "c": make_family_c,
-}
-THREE_QUBIT_FAMILIES = frozenset({"a", "b"})
 # the MeasureReport fields a sweep can hold, in CSV column order
 MEASURE_COLUMNS = ("gbc", "gmc", "ggm", "fill")
 
@@ -55,12 +49,10 @@ def _require_known(kind: str, name, known) -> None:
 
 
 def family_state(family: str, theta: float) -> PureState:
-    """State of one parameterized family at a given angle."""
-    try:
-        build = FAMILY_BUILDERS[family]
-    except KeyError:
-        _require_known("family", family, sorted(FAMILY_BUILDERS))
-    return build(theta)
+    """State of one parameterized family at a given angle: make_family_<family>(theta)."""
+    if family not in FAMILIES:
+        _require_known("family", family, sorted(FAMILIES))
+    return _family_state(family, theta)
 
 
 def measure_value(state: PureState, name: str) -> float:
@@ -89,12 +81,12 @@ class SweepSpec:
     measures: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        _require_known("family", self.family, sorted(FAMILY_BUILDERS))
+        _require_known("family", self.family, sorted(FAMILIES))
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.steps > MAX_STEPS:
             raise ValueError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
-        three_qubit = self.family in THREE_QUBIT_FAMILIES
+        three_qubit = FAMILIES[self.family][0] == (2, 2, 2)
         chosen = self.measures
         if chosen is None:
             chosen = [m for m in MEASURE_COLUMNS if three_qubit or m != "fill"]
@@ -381,8 +373,10 @@ def emit_csv(rows: list[SweepRow], path) -> None:
 def emit_plotscript(rows: list[SweepRow], path, csv_path) -> None:
     """Write a standalone gnuplot script that plots an emitted CSV."""
     present = [name for name in MEASURE_COLUMNS if name in rows[0].values]
+    # a quote inside a single-quoted gnuplot string is written twice
+    quoted = "'" + str(csv_path).replace("'", "''") + "'"
     plots = ", \\\n  ".join(
-        f"'{csv_path}' every ::1 using 2:{3 + MEASURE_COLUMNS.index(name)} "
+        f"{quoted} every ::1 using 2:{3 + MEASURE_COLUMNS.index(name)} "
         f"with lines lw 2 title '{name}'"
         for name in present
     )
@@ -532,5 +526,6 @@ _FINDING_KINDS = ("equal-x-different-y", "opposite-slope-interval")
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="") as handle:
+    # UTF-8, so a plot script can name any CSV path
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)

@@ -1,5 +1,5 @@
 """Shared test helpers: random states, Haar unitaries, product embeddings,
-symmetric qubit states."""
+symmetric qubit states, cuts named by parties, local unitaries."""
 
 from __future__ import annotations
 
@@ -61,3 +61,21 @@ def symmetric_state(weight_amplitudes) -> PureState:
     weights = [index.bit_count() for index in range(2**n)]
     vec = np.asarray(weight_amplitudes, dtype=np.complex128)[weights]
     return make_custom([2] * n, vec, renormalize=True)
+
+
+def from_parties(parties, n_parties: int) -> Bipartition:
+    """The cut of n_parties parties with the given parties on one side."""
+    mask = 0
+    for p in parties:
+        p = int(p)
+        if not 0 <= p < n_parties:
+            raise ValueError(f"party {p} out of range for {n_parties} parties")
+        mask |= 1 << p
+    return Bipartition(mask, n_parties)
+
+
+def apply_local_unitary(state: PureState, party: int, matrix) -> PureState:
+    """Apply a d x d matrix to one party; PureState rejects a change of norm."""
+    rotated = np.tensordot(np.asarray(matrix, dtype=np.complex128), state.as_tensor(),
+                           axes=([1], [party]))
+    return PureState(state.dims, np.moveaxis(rotated, 0, party).reshape(-1))

@@ -7,9 +7,17 @@ import math
 import time
 
 import numpy as np
-from conftest import basis_state, embed_product, haar_state, haar_unitary
+from conftest import (
+    apply_local_unitary,
+    basis_state,
+    embed_product,
+    from_parties,
+    haar_state,
+    haar_unitary,
+)
 
 import entmean as em
+from entmean.bipartitions import cut_multiplicity
 
 BETA = 3.0 * math.pi / 5.0
 
@@ -86,7 +94,7 @@ def test_criterion_2_normalization():
     amps = np.zeros(9)
     amps[[0, 4, 8]] = 1 / math.sqrt(3)
     qutrit = abs(
-        em.concurrence(em.make_custom([3, 3], amps), em.Bipartition.from_parties([0], 2))
+        em.concurrence(em.make_custom([3, 3], amps), from_parties([0], 2))
         - 1.0
     )
     ok = max(ghz3, bell, qutrit) <= 1e-12
@@ -314,7 +322,7 @@ def test_criterion_8_property_suites(tmp_path):
         dims = dims_pool[trial % len(dims_pool)]
         state = haar_state(list(dims), rng)
         party = int(rng.integers(len(dims)))
-        rotated = em.apply_local_unitary(state, party, haar_unitary(dims[party], rng))
+        rotated = apply_local_unitary(state, party, haar_unitary(dims[party], rng))
         for measure in (em.gbc, em.gmc, em.ggm):
             lu_drift = max(lu_drift, abs(measure(rotated) - measure(state)))
         if dims == (2, 2, 2):
@@ -340,7 +348,7 @@ def test_criterion_8_property_suites(tmp_path):
 
     counts_ok = all(
         len(em.enumerate_bipartitions(n))
-        == em.cardinality_formula(n)
+        == sum(cut_multiplicity(n, m) for m in range(1, n // 2 + 1))
         == 2 ** (n - 1) - 1
         for n in range(2, 21)
     )
@@ -411,7 +419,7 @@ def test_criterion_9_ame_maxima():
     for name, (state, d) in states.items():
         rotated = state
         for party in range(state.n_parties):
-            rotated = em.apply_local_unitary(rotated, party, haar_unitary(d, rng))
+            rotated = apply_local_unitary(rotated, party, haar_unitary(d, rng))
         worst[name] = max(
             max(abs(em.gbc(s) - 1.0), abs(em.gmc(s) - 1.0), abs(em.ggm(s) - (1.0 - 1.0 / d)))
             for s in (state, rotated)

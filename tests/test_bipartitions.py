@@ -2,28 +2,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entmean import Bipartition, cardinality_formula, enumerate_bipartitions
+from conftest import from_parties
+
+from entmean import Bipartition, enumerate_bipartitions
 from entmean.bipartitions import cut_multiplicity
 
 
 class TestBipartition:
     def test_canonical_keeps_party_zero_in_a(self):
-        part = Bipartition.from_parties([1, 2], 3)
+        part = from_parties([1, 2], 3)
         assert part.subset_a == 0b001
         assert part.parties_a == (0,)
         assert part.parties_b == (1, 2)
 
     def test_complement_and_size(self):
-        part = Bipartition.from_parties([0, 2], 4)
+        part = from_parties([0, 2], 4)
         assert part.subset_a ^ 0b1111 == 0b1010
         assert part.subset_a.bit_count() == 2
 
     def test_label(self):
-        assert Bipartition.from_parties([0, 2], 4).label == "02|13"
-        assert Bipartition.from_parties([0], 3).label == "0|12"
+        assert from_parties([0, 2], 4).label == "02|13"
+        assert from_parties([0], 3).label == "0|12"
 
     def test_label_commas_past_ten_parties(self):
-        part = Bipartition.from_parties([0, 11], 12)
+        part = from_parties([0, 11], 12)
         assert part.label == "0,11|1,2,3,4,5,6,7,8,9,10"
 
     def test_rejects_empty_and_full(self):
@@ -39,7 +41,7 @@ class TestBipartition:
     @pytest.mark.parametrize("party", [-1, 3])
     def test_from_parties_rejects_out_of_range(self, party):
         with pytest.raises(ValueError, match="out of range"):
-            Bipartition.from_parties([0, party], 3)
+            from_parties([0, party], 3)
 
     def test_rejects_bad_arity(self):
         with pytest.raises(ValueError):
@@ -83,20 +85,26 @@ class TestEnumeration:
             enumerate_bipartitions(21)
 
 
+def _cut_count(n: int) -> int:
+    """The cut count as a sum of cut multiplicities over the smaller side."""
+    return sum(cut_multiplicity(n, m) for m in range(1, n // 2 + 1))
+
+
 class TestCardinalityFormula:
     @pytest.mark.parametrize("n,expected", [(2, 1), (5, 15), (6, 31)])
     def test_known_values(self, n, expected):
-        assert cardinality_formula(n) == expected
+        assert _cut_count(n) == expected
 
     def test_full_range_matches_power_of_two(self):
         for n in range(2, 21):
-            count = cardinality_formula(n)
+            count = _cut_count(n)
             assert count == 2 ** (n - 1) - 1
             assert len(enumerate_bipartitions(n)) == count
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            cardinality_formula(1)
+        # a single party has no cut; the enumeration rejects it
+        with pytest.raises(ValueError, match="party count must be in 2..20, got 1"):
+            enumerate_bipartitions(1)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_cut_multiplicity_counts_enumerated_cuts(self, n):
@@ -111,7 +119,7 @@ class TestCardinalityFormula:
 @given(st.integers(min_value=2, max_value=12))
 def test_enumeration_properties(n):
     parts = enumerate_bipartitions(n)
-    assert len(parts) == cardinality_formula(n) == 2 ** (n - 1) - 1
+    assert len(parts) == _cut_count(n) == 2 ** (n - 1) - 1
     seen = set()
     for p in parts:
         assert p.subset_a & 1, "canonical side must contain party 0"

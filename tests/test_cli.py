@@ -100,6 +100,30 @@ class TestSweep:
         assert len(csv.read_text().splitlines()) == 12
         assert str(csv) in plot.read_text()
 
+    def test_plot_doubles_a_quote_in_the_csv_path(self, tmp_path):
+        csv = tmp_path / "it's.csv"
+        plot = tmp_path / "a.gp"
+        code = main(
+            ["sweep", "--family", "a", "--steps", "5",
+             "--out", str(csv), "--plot", str(plot)]
+        )
+        assert code == 0
+        # inside a single-quoted gnuplot string a quote is written twice
+        quoted = "'" + str(csv).replace("'", "''") + "'"
+        plots = [line.strip() for line in plot.read_text().splitlines() if "every ::1" in line]
+        assert len(plots) == 4
+        assert all(line.startswith(f"{quoted} every ::1 ") for line in plots)
+
+    def test_plot_names_a_non_ascii_csv_path(self, tmp_path, capsys):
+        csv = tmp_path / "donn\u00e9es.csv"
+        plot = tmp_path / "b.gp"
+        code = main(
+            ["sweep", "--family", "b", "--steps", "5",
+             "--out", str(csv), "--plot", str(plot)]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert f"'{csv}' every ::1 " in plot.read_text(encoding="utf-8")
+
     def test_measures_subset(self, tmp_path):
         csv = tmp_path / "c.csv"
         code = main(

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from conftest import symmetric_state
+from conftest import from_parties, symmetric_state
 
 from entmean import (
     closed_form_table,
@@ -16,7 +16,6 @@ from entmean import (
     ratio_w_over_ghz,
     w_concurrence_m,
 )
-from entmean.bipartitions import Bipartition
 
 
 class TestGhzFactor:
@@ -29,7 +28,7 @@ class TestGhzFactor:
     def test_m3_cross_checked_numerically(self):
         value = ghz_concurrence_m(6, 3)
         assert value == pytest.approx(math.sqrt(8 / 14), abs=1e-15)
-        numeric = concurrence(make_ghz(6), Bipartition.from_parties([0, 1, 2], 6))
+        numeric = concurrence(make_ghz(6), from_parties([0, 1, 2], 6))
         assert value == pytest.approx(numeric, abs=1e-12)
 
     def test_split_range_enforced(self):
@@ -50,7 +49,7 @@ class TestWFactor:
     def test_balanced_four(self):
         value = w_concurrence_m(4, 2)
         assert value == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-        numeric = concurrence(make_w(4), Bipartition.from_parties([0, 1], 4))
+        numeric = concurrence(make_w(4), from_parties([0, 1], 4))
         assert value == pytest.approx(numeric, abs=1e-12)
 
     def test_bell_limit(self):

@@ -3,14 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import basis_state, embed_product, haar_state, haar_unitary, symmetric_state
+from conftest import (
+    apply_local_unitary,
+    basis_state,
+    embed_product,
+    from_parties,
+    haar_state,
+    haar_unitary,
+    symmetric_state,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmean import (
-    Bipartition,
     PureState,
-    apply_local_unitary,
     enumerate_bipartitions,
     full_report,
     gbc,
@@ -55,38 +61,38 @@ def _gram_purity(state, part, side="rows"):
 
 class TestReshape:
     def test_ghz3_one_vs_rest(self):
-        block = reshape(make_ghz(3), Bipartition.from_parties([0], 3))
+        block = reshape(make_ghz(3), from_parties([0], 3))
         assert block.shape == (2, 4)
         expected = np.zeros((2, 4), dtype=complex)
         expected[0, 0] = expected[1, 3] = INV_SQRT2
         np.testing.assert_allclose(block, expected, atol=0)
 
     def test_w3_two_vs_one(self):
-        block = reshape(make_w(3), Bipartition.from_parties([0, 1], 3))
+        block = reshape(make_w(3), from_parties([0, 1], 3))
         assert block.shape == (4, 2)
         expected = np.zeros((4, 2), dtype=complex)
         expected[0, 1] = expected[1, 0] = expected[2, 0] = 1 / math.sqrt(3)
         np.testing.assert_allclose(block, expected, atol=0)
 
     def test_product_state_rank_one(self):
-        block = reshape(basis_state([2, 2], [0, 0]), Bipartition.from_parties([0], 2))
+        block = reshape(basis_state([2, 2], [0, 0]), from_parties([0], 2))
         assert np.linalg.matrix_rank(block) == 1
 
     def test_frobenius_norm_preserved(self):
         rng = np.random.default_rng(3)
         state = haar_state([2, 3, 2], rng)
-        for part in (Bipartition.from_parties([0], 3), Bipartition.from_parties([0, 2], 3)):
+        for part in (from_parties([0], 3), from_parties([0, 2], 3)):
             block = reshape(state, part)
             assert np.linalg.norm(block) == pytest.approx(1.0, abs=1e-12)
 
     def test_party_count_mismatch(self):
         with pytest.raises(ValueError):
-            reshape(make_ghz(3), Bipartition.from_parties([0], 4))
+            reshape(make_ghz(3), from_parties([0], 4))
 
     def test_mixed_dims_placement(self):
         # |0,2> over dims (2,3): row 0 / column 2 of the 2x3 block
         state = basis_state([2, 3], [0, 2])
-        block = reshape(state, Bipartition.from_parties([0], 2))
+        block = reshape(state, from_parties([0], 2))
         assert block[0, 2] == 1.0
 
 
@@ -95,33 +101,33 @@ class TestReducedPurity:
     def test_ghz_any_cut_is_half(self, n):
         state = make_ghz(n)
         for part in (
-            Bipartition.from_parties([0], n),
-            Bipartition.from_parties(list(range(n // 2)), n),
+            from_parties([0], n),
+            from_parties(list(range(n // 2)), n),
         ):
             assert _spectrum_purity(state, part) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state_is_pure(self):
         state = basis_state([2, 2, 2], [0, 0, 0])
-        part = Bipartition.from_parties([0, 1], 3)
+        part = from_parties([0, 1], 3)
         assert _spectrum_purity(state, part) == pytest.approx(1.0, abs=1e-14)
 
     def test_w3_one_vs_rest(self):
-        value = _spectrum_purity(make_w(3), Bipartition.from_parties([0], 3))
+        value = _spectrum_purity(make_w(3), from_parties([0], 3))
         assert value == pytest.approx(5.0 / 9.0, abs=1e-12)
 
 
 class TestSchmidtSpectrum:
     def test_ghz3(self):
-        lam = schmidt_weights(make_ghz(3), Bipartition.from_parties([0], 3))
+        lam = schmidt_weights(make_ghz(3), from_parties([0], 3))
         np.testing.assert_allclose(lam, [0.5, 0.5], atol=1e-12)
 
     def test_w3(self):
-        lam = schmidt_weights(make_w(3), Bipartition.from_parties([0], 3))
+        lam = schmidt_weights(make_w(3), from_parties([0], 3))
         np.testing.assert_allclose(lam, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_basis_state(self):
         lam = schmidt_weights(
-            basis_state([2, 2, 2], [0, 0, 0]), Bipartition.from_parties([0], 3)
+            basis_state([2, 2, 2], [0, 0, 0]), from_parties([0], 3)
         )
         np.testing.assert_allclose(lam, [1.0, 0.0], atol=1e-14)
 
@@ -129,7 +135,7 @@ class TestSchmidtSpectrum:
         rng = np.random.default_rng(11)
         state = haar_state([2, 2, 2, 2], rng)
         for side_a in ([0], [0, 3]):
-            lam = schmidt_weights(state, Bipartition.from_parties(side_a, 4))
+            lam = schmidt_weights(state, from_parties(side_a, 4))
             d_a = math.prod(state.dims[k] for k in side_a)
             d_b = math.prod(state.dims) // d_a
             assert lam.shape == (min(d_a, d_b),)
@@ -144,9 +150,9 @@ class TestDualPaths:
         for dims in [(2, 2), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)]:
             state = haar_state(list(dims), rng)
             n = len(dims)
-            cuts = [Bipartition.from_parties([0], n)]
+            cuts = [from_parties([0], n)]
             if n > 2:
-                cuts.append(Bipartition.from_parties([0, n - 1], n))
+                cuts.append(from_parties([0, n - 1], n))
             for part in cuts:
                 fast = _spectrum_purity(state, part)
                 assert abs(fast - _gram_purity(state, part, "rows")) <= 1e-10
@@ -156,9 +162,9 @@ class TestDualPaths:
         rng = np.random.default_rng(29)
         state = haar_state([2, 2, 2, 2, 2], rng)
         for part in (
-            Bipartition.from_parties([0], 5),
-            Bipartition.from_parties([0, 1], 5),
-            Bipartition.from_parties([0, 2, 4], 5),
+            from_parties([0], 5),
+            from_parties([0, 1], 5),
+            from_parties([0, 2, 4], 5),
         ):
             lam = schmidt_weights(state, part)
             assert abs(_gram_purity(state, part) - float(np.sum(lam**2))) <= 1e-10
@@ -167,7 +173,7 @@ class TestDualPaths:
         rng = np.random.default_rng(31)
         for _ in range(10):
             state = haar_state([2, 2, 2], rng)
-            part = Bipartition.from_parties([0], 3)
+            part = from_parties([0], 3)
             le = linear_entropy(schmidt_weights(state, part))
             assert abs(le - (1.0 - _spectrum_purity(state, part))) <= 1e-12
 
@@ -175,14 +181,14 @@ class TestDualPaths:
         # the cross-term accumulation must not be limited by the 1e-16
         # cancellation floor of 1 - sum(s^4)
         rng = np.random.default_rng(37)
-        part = Bipartition.from_parties([0, 1], 4)
+        part = from_parties([0, 1], 4)
         state = embed_product(haar_state([2, 2], rng), haar_state([2, 2], rng), part)
         assert linear_entropy(schmidt_weights(state, part)) <= 1e-25
 
     def test_local_unitary_leaves_purity(self):
         rng = np.random.default_rng(41)
         state = haar_state([2, 2, 2], rng)
-        part = Bipartition.from_parties([0, 1], 3)
+        part = from_parties([0, 1], 3)
         before = _spectrum_purity(state, part)
         for party in range(3):
             rotated = apply_local_unitary(state, party, haar_unitary(2, rng))
@@ -243,7 +249,7 @@ class TestCutEntropies:
 
 # cos(eps) product + sin(eps) entangled: the product cut 0|123 vanishes at
 # eps = 0, and its linear entropy sweeps through GRAM_GUARD as eps grows
-_GUARD_CUT = Bipartition.from_parties([0], 4)
+_GUARD_CUT = from_parties([0], 4)
 
 
 def _near_product(eps):
@@ -387,8 +393,22 @@ def _real_grid(rng, dims, k):
     return grid / np.linalg.norm(grid, axis=1)[:, None]
 
 
+def _gram_step(matrix: np.ndarray, top: float) -> tuple[float, float]:
+    """The scalar reference of _gram_steps: (linear entropy, top) after one cut matrix."""
+    gram = entmean.linalg._gram(matrix)
+    purity = np.vdot(gram, gram).real
+    mixedness = 1.0 - purity
+    if mixedness < GRAM_GUARD:
+        s = np.linalg.svd(matrix, compute_uv=False)
+        weights = s * s
+        return linear_entropy(weights), max(top, weights[0])
+    if math.sqrt(purity) > top:
+        top = max(top, np.linalg.eigvalsh(gram)[-1])
+    return float(mixedness), top
+
+
 class TestStackedStep:
-    """_gram_steps over a stack is _gram_step row by row, bit for bit."""
+    """_gram_steps over a stack is the scalar _gram_step row by row, bit for bit."""
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 8), (3, 6), (4, 4), (8, 8)])
     def test_equals_the_scalar_step_per_row(self, shape):
@@ -399,7 +419,7 @@ class TestStackedStep:
         tops[::5] = 0.0
         mixedness, top = entmean.linalg._gram_steps(stack, tops)
         for r in range(k):
-            assert (mixedness[r], top[r]) == entmean.linalg._gram_step(stack[r], float(tops[r]))
+            assert (mixedness[r], top[r]) == _gram_step(stack[r], float(tops[r]))
         # the stack exercises the guard, the prune and the eigen solve
         purity = np.array([np.vdot(m @ m.T, m @ m.T) for m in stack])
         guarded = 1.0 - purity < GRAM_GUARD
@@ -487,7 +507,7 @@ def _shuffled_product(n, split, rng):
     perm = rng.permutation(n)
     state = permute_parties(make_custom([2] * n, product, renormalize=True), perm)
     # party i of the shuffled state is party perm[i] of the product
-    return state, Bipartition.from_parties(np.flatnonzero(perm < split), n)
+    return state, from_parties(np.flatnonzero(perm < split), n)
 
 
 TREE_MIN = entmean.linalg._TREE_MIN_QUBITS
@@ -499,7 +519,7 @@ class TestTraceTree:
     @pytest.fixture
     def walks(self, monkeypatch):
         """Count the calls that take the partial-trace tree."""
-        return _spy(monkeypatch, entmean.linalg, "_tree_cut_entropies")
+        return _spy(monkeypatch, entmean.linalg, "_tree_grams")
 
     @pytest.mark.parametrize("n", range(TREE_MIN, 14))
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -549,7 +569,7 @@ class TestTraceTree:
         perm = rng.permutation(12)
         # party i of the permuted state is party perm[i] of the original
         for part, value in full_report(permute_parties(state, perm)).per_bipartition:
-            original = Bipartition.from_parties([perm[i] for i in part.parties_a], 12)
+            original = from_parties([perm[i] for i in part.parties_a], 12)
             assert abs(value - base[original]) <= 1e-12
         rotated = state
         for party in range(12):

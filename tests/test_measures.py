@@ -3,16 +3,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import basis_state, embed_product, haar_state, haar_unitary
+from conftest import (
+    apply_local_unitary,
+    basis_state,
+    embed_product,
+    from_parties,
+    haar_state,
+    haar_unitary,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmean import (
-    Bipartition,
-    apply_local_unitary,
     concurrence,
     concurrence_fill,
     enumerate_bipartitions,
+    family_state,
     full_report,
     gbc,
     ggm,
@@ -39,21 +45,21 @@ def qutrit_bell():
 
 class TestConcurrence:
     def test_ghz4_balanced_cut(self):
-        value = concurrence(make_ghz(4), Bipartition.from_parties([0, 1], 4))
+        value = concurrence(make_ghz(4), from_parties([0, 1], 4))
         assert value == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
 
     def test_w3_one_vs_rest(self):
-        value = concurrence(make_w(3), Bipartition.from_parties([0], 3))
+        value = concurrence(make_w(3), from_parties([0], 3))
         assert value == pytest.approx(W3_CUT, abs=1e-12)
 
     def test_qutrit_bell_reaches_one(self):
-        value = concurrence(qutrit_bell(), Bipartition.from_parties([0], 2))
+        value = concurrence(qutrit_bell(), from_parties([0], 2))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_unregularized_variant(self):
         # plain normalization exceeds 1 once d_min > 2
         value = concurrence(
-            qutrit_bell(), Bipartition.from_parties([0], 2), regularized=False
+            qutrit_bell(), from_parties([0], 2), regularized=False
         )
         assert value == pytest.approx(math.sqrt(4 / 3), abs=1e-12)
 
@@ -61,7 +67,7 @@ class TestConcurrence:
         rng = np.random.default_rng(5)
         for dims in [(2, 2, 2), (3, 3), (2, 3, 2), (4, 4)]:
             state = haar_state(list(dims), rng)
-            part = Bipartition.from_parties([0], len(dims))
+            part = from_parties([0], len(dims))
             d_min = min(dims[0], math.prod(dims[1:]))
             reg = concurrence(state, part)
             plain = concurrence(state, part, regularized=False)
@@ -71,7 +77,7 @@ class TestConcurrence:
 
     def test_product_cut_vanishes(self):
         state = basis_state([2, 2], [0, 0])
-        assert concurrence(state, Bipartition.from_parties([0], 2)) <= 1e-12
+        assert concurrence(state, from_parties([0], 2)) <= 1e-12
 
     def test_single_party_rejected(self):
         with pytest.raises(ValueError):
@@ -87,7 +93,7 @@ class TestGbc:
 
     def test_biseparable_is_exact_zero(self):
         state = embed_product(
-            basis_state([2], [0]), make_ghz(2), Bipartition.from_parties([0], 3)
+            basis_state([2], [0]), make_ghz(2), from_parties([0], 3)
         )
         assert gbc(state) == 0.0
 
@@ -110,7 +116,7 @@ class TestGmc:
 
     def test_biseparable(self):
         rng = np.random.default_rng(13)
-        part = Bipartition.from_parties([0, 2], 4)
+        part = from_parties([0, 2], 4)
         state = embed_product(haar_state([2, 2], rng), haar_state([2, 2], rng), part)
         assert gmc(state) <= 1e-10
 
@@ -132,7 +138,7 @@ class TestConcurrenceFill:
 
     def test_zero_tensor_bell_degenerate(self):
         state = embed_product(
-            basis_state([2], [0]), make_ghz(2), Bipartition.from_parties([0], 3)
+            basis_state([2], [0]), make_ghz(2), from_parties([0], 3)
         )
         assert concurrence_fill(state) <= 1e-6
 
@@ -289,10 +295,16 @@ class TestOnePass:
             (haar_state([3, 2, 2, 2], np.random.default_rng(53)), 3),
             # every cut ties at 1/2, so no bound prunes: one solve per cut size
             (make_ghz(12), 6),
+            # the 1|11 size, the purest, solves first and prunes the rest
+            (make_w(12), 1),
+            # symmetric at every theta: its one cut size takes one solve
+            (family_state("b", 0.7), 1),
         ],
-        ids=["haar-222", "w4", "haar-3222", "ghz12"],
+        ids=["haar-222", "w4", "haar-3222", "ghz12", "w12", "b-0.7"],
     )
     def test_entangled_cuts_take_no_svd(self, state, eigen_solves, calls):
+        # the first pass over a party count caches its cut orders, enumerating once more
+        full_report(state)
         for function in self._measures(state):
             calls.clear()
             function(state)
@@ -307,7 +319,7 @@ class TestOnePass:
             np.kron(haar_state([2], rng).amplitudes, haar_state([2], rng).amplitudes),
         )
         state = embed_product(
-            pair, haar_state([2, 2], rng), Bipartition.from_parties([0, 1], 4)
+            pair, haar_state([2, 2], rng), from_parties([0, 1], 4)
         )
         rows, _ = entmean.linalg.cut_entropies(state)
         guarded = [part.label for part, _, mixedness in rows if mixedness < GRAM_GUARD]

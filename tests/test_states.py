@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import apply_local_unitary
 
 from entmean import (
     PureState,
-    apply_local_unitary,
     make_custom,
     make_family_a,
     make_family_b,
@@ -321,12 +321,3 @@ class TestTransforms:
     def test_local_nonunitary_rejected(self):
         with pytest.raises(ValueError):
             apply_local_unitary(make_ghz(2), 0, np.diag([2.0, 1.0]))
-
-    @pytest.mark.parametrize("party", [-1, 3])
-    def test_local_unitary_party_out_of_range(self, party):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_local_unitary(make_ghz(3), party, np.eye(2))
-
-    def test_local_unitary_shape_check(self):
-        with pytest.raises(ValueError):
-            apply_local_unitary(make_ghz(2), 0, np.eye(3))
