@@ -1,8 +1,7 @@
 import pytest
+from conftest import from_parties
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from conftest import from_parties
 
 from entmean import Bipartition, enumerate_bipartitions
 from entmean.bipartitions import cut_multiplicity
