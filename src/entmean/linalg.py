@@ -14,20 +14,18 @@ its matrix across any cut whose smaller side has m parties is the
 (m+1) x (n-m+1) matrix a_{j+l} sqrt(C(m, j) C(n-m, l)), so cut_entropies
 takes n//2 of those small matrices instead of one dense matrix per cut.
 
-A dense qubit state of _TREE_MIN_QUBITS or more parties walks a
-partial-trace tree instead of taking one GEMM per cut.  Each side of n//2
-parties takes its Gram product.  Every smaller side S is traced from its
-parent S | {k}, k the lowest party not in S, over party k: O(d_S^2) work
-in place of a GEMM.  Every parent holds party 0, so each tree is rooted at
-a canonical balanced side; for odd n the n//2-party sides without party 0
-are GEMM leaves.  A cut below GRAM_GUARD still takes the SVD of its cut
-matrix, built from the tensor, so product cuts on tree nodes keep their
-exact zeros.  The walk is depth first and holds one reduced matrix per
-level, at most n//2 of them and none above 2^(n//2) square, where holding a
-whole level would take about 112 MB at 13 qubits.  The walk is planned once
-per qubit count.
+Every other dense state walks one plan of Gram matrices (_gram_plan), built
+once per dims.  Each cut's side S is the side its layout puts on the rows.
+In a state of _TREE_MIN_SIZE or more amplitudes, S is traced over party k
+from its parent P = S | {k}, k the lowest party not in S, when P is itself
+a row side: O(d_S^2 d_k) additions in place of a GEMM.  Every other side is
+a root and takes its Gram product; in a qubit state these are the sides of
+n//2 parties.  A cut below GRAM_GUARD still takes the SVD of its cut matrix,
+built from the tensor, so product cuts on traced nodes keep their exact
+zeros.  The walk is depth first and holds one reduced matrix per level, none
+above prod(dims) entries; a whole level would take about 112 MB at 13 qubits.
 
-The per-cut loop, the tree and the Dicke path share one eigen-solve queue
+The Gram walk and the Dicke path share one eigen-solve queue
 (_queued_cut_entropies).  The solves wait for every cut's purity; the cuts
 are then taken in descending purity while sqrt(P) exceeds the top, each
 Gram matrix rebuilt by the GEMM of its cut matrix, so on every path the
@@ -53,11 +51,12 @@ from .states import MAX_PARTIES, PureState
 # about 2e-13, inside the 1e-12 the tests hold it to.
 GRAM_GUARD = 1e-4
 
-# Dense qubit states of at least this many parties take the partial-trace
-# tree.  On complex and real Haar states, BLAS at one thread, it ran 0.90-0.94x
-# the per-cut GEMM loop at 5 qubits, 0.98-1.06x at 7, 1.09-1.26x at 8 and
-# 1.36-1.58x at 10.
-_TREE_MIN_QUBITS = 8
+# Dense states of at least this many amplitudes trace their Gram walk.  On
+# Haar qubit states, BLAS at one thread, the trace ran 0.90-0.94x the per-cut
+# GEMMs at 5 qubits, 0.98-1.06x at 7, 1.09-1.26x at 8 and 1.36-1.58x at 10.
+# Below it every cut takes a GEMM, so the golden qudit states keep their bytes
+# and each sweep family row, whose grid takes a GEMM per cut, equals full_report.
+_TREE_MIN_SIZE = 256
 
 
 def reshape(state: PureState, part: Bipartition) -> np.ndarray:
@@ -105,8 +104,8 @@ def cut_entropies(
     largest weight found so far cannot hold the maximum, so the cuts are
     solved in descending P until the first such cut.
     A permutation-symmetric qubit state takes one small Dicke-basis matrix
-    per cut size instead, and any other qubit state of _TREE_MIN_QUBITS or
-    more parties the partial-trace tree (see the module docstring).
+    per cut size instead, and any other state the Gram walk of its dims
+    (see the module docstring).
     """
     amplitudes = state.amplitudes
     if not amplitudes.imag.any():
@@ -117,14 +116,9 @@ def cut_entropies(
     parts = enumerate_bipartitions(state.n_parties)
     if _symmetric_qubits(tensor):
         return _symmetric_cut_entropies(tensor, parts)
-    if tensor.ndim >= _TREE_MIN_QUBITS and all(d == 2 for d in tensor.shape):
-        walk, layouts = _trace_plan(tensor.ndim)
-        grams = _tree_grams(tensor, walk, layouts)
-    else:
-        layouts = _cut_layouts(state.dims)
-        grams = ((c, _gram(_cut_matrix(tensor, layout))) for c, layout in enumerate(layouts))
+    walk, layouts = _gram_plan(state.dims)
     mixedness, top = _queued_cut_entropies(
-        lambda c: _cut_matrix(tensor, layouts[c]), len(layouts), grams
+        lambda c: _cut_matrix(tensor, layouts[c]), len(layouts), _tree_grams(tensor, walk, layouts)
     )
     return tuple((part, d_a, m) for (part, _, d_a, _), m in zip(layouts, mixedness)), top
 
@@ -177,14 +171,18 @@ def _cut_orders(n: int) -> tuple[tuple[Bipartition, tuple, tuple, tuple], ...]:
 
 
 def _tree_grams(tensor: np.ndarray, walk, layouts):
-    """(cut index, Gram matrix) of each cut along the partial-trace tree's walk (module docstring)."""
-    levels = [None] * (tensor.ndim // 2)
+    """(cut index, Gram matrix) of each cut along a _gram_plan walk."""
+    # a row side can hold more than n//2 parties, so levels go to ndim
+    levels = [None] * tensor.ndim
     for c, depth, shape, d in walk:
         if shape is None:
             rho = _gram(_cut_matrix(tensor, layouts[c]))
         else:
             r = levels[depth - 1].reshape(shape)
-            rho = (r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]).reshape(d, d)
+            rho = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
+            for j in range(2, shape[1]):
+                rho += r[:, j, :, :, j, :]
+            rho = rho.reshape(d, d)
         levels[depth] = rho
         yield c, rho
 
@@ -231,43 +229,44 @@ def _gram(matrix: np.ndarray) -> np.ndarray:
     return matrix @ matrix.conj().T
 
 
-# one plan per qubit count, like the party orders
+# one plan per dims, like the party orders
 @functools.lru_cache(maxsize=MAX_PARTIES)
-def _trace_plan(n: int) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]]]:
-    """(walk, cut layouts) of the partial-trace tree over n qubits.
+def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]]]:
+    """(walk, cut layouts) of the Gram walk over a dense state of these dims.
 
-    The walk lists (cut index, depth, parent shape, d) depth first.  A root
-    (depth 0, shape None) is a side of n//2 parties and takes a GEMM.  Each
-    other side S is traced from its parent S | {k}, k the lowest party not
-    in S, the last side walked at depth - 1: the parent's Gram matrix
-    reshaped to shape = (2^k, 2, 2^(m-k-1)) * 2 and summed over k's two
-    axes, giving a d x d matrix.
+    The walk lists (cut index, depth, parent shape, d) depth first, the roots
+    (depth 0, shape None: one GEMM each) in cut order.  Any other cut's row
+    side S is traced from its parent S | {k}, k the lowest party not in S,
+    the last side walked at depth - 1: the parent's Gram matrix reshaped to
+    shape = (prod(dims[:k]), dims[k], b) * 2 and summed over k's two axes,
+    giving a d x d matrix.  S is traced when its parent is itself a row side
+    and the state has at least _TREE_MIN_SIZE amplitudes.
     """
-    layouts = _cut_layouts((2,) * n)
-    index = {part.subset_a: c for c, (part, _, _, _) in enumerate(layouts)}
-    full = (1 << n) - 1
-    half = n // 2
+    layouts = _cut_layouts(dims)
+    if math.prod(dims) < _TREE_MIN_SIZE:
+        return tuple((c, 0, None, None) for c in range(len(layouts))), layouts
+    prefix = [math.prod(dims[:k]) for k in range(len(dims))]
+    full = (1 << len(dims)) - 1
+    # row side -> cut index: the axis order starts with party 0 iff side A is the rows
+    index = {part.subset_a if order[0] == 0 else full ^ part.subset_a: c
+             for c, (part, order, _, _) in enumerate(layouts)}
     walk = []
-    shapes = {}  # one tuple per (k, size), shared by every walk entry
+    shapes = {}  # one tuple per (k, d), shared by every walk entry
 
-    def visit(side, size, depth):
-        # the children drop one of the parties 0..low-1, which all lie in side
-        low = (~side & (side + 1)).bit_length() - 1
-        for k in range(low):
-            child = side & ~(1 << k)
-            a, b = 1 << k, 1 << (size - k - 1)
-            shape = shapes.setdefault((k, size), (a, 2, b, a, 2, b))
-            c = index[child if child & 1 else full ^ child]
-            walk.append((c, depth + 1, shape, a * b))
-            if size > 2:
-                visit(child, size - 1, depth + 1)
+    def visit(side, d, depth):
+        # each child drops a party k below the lowest party missing from side
+        for k in range((~side & (side + 1)).bit_length() - 1):
+            c = index.get(side & ~(1 << k))
+            if c is not None:
+                a, d_k = prefix[k], dims[k]
+                shape = shapes.setdefault((k, d), (a, d_k, d // (a * d_k)) * 2)
+                walk.append((c, depth + 1, shape, d // d_k))
+                visit(side & ~(1 << k), d // d_k, depth + 1)
 
-    for c, (part, _, _, _) in enumerate(layouts):
-        size = part.subset_a.bit_count()
-        if half in (size, n - size):
-            # for odd n a side of n//2 parties without party 0 has no children
+    for side, c in index.items():  # in cut order
+        if side | (~side & (side + 1)) not in index:
             walk.append((c, 0, None, None))
-            visit(part.subset_a if size == half else full ^ part.subset_a, half, 0)
+            visit(side, layouts[c][2], 0)
     return tuple(walk), layouts
 
 

@@ -490,9 +490,10 @@ class TestCutLayouts:
             assert np.array_equal(matrix, cut if cut.shape == (d_a, d_b) else cut.T)
 
     def test_party_orders_cached_once_per_party_count(self):
-        orders = entmean.linalg._cut_orders
-        assert orders.cache_info().maxsize == entmean.states.MAX_PARTIES
-        assert orders(5) is orders(5)
+        orders, plan = entmean.linalg._cut_orders, entmean.linalg._gram_plan
+        for cached, key in ((orders, 5), (plan, (3, 2, 2, 4)), (plan, (2,) * 9)):
+            assert cached.cache_info().maxsize == entmean.states.MAX_PARTIES
+            assert cached(key) is cached(key)
 
 
 def _real_haar(dims, rng):
@@ -500,21 +501,43 @@ def _real_haar(dims, rng):
     return make_custom(dims, vec / np.linalg.norm(vec), renormalize=True)
 
 
-def _shuffled_product(n, split, rng):
-    """Haar(split qubits) x Haar(n - split qubits) on shuffled parties, and the product cut."""
-    product = np.kron(haar_state([2] * split, rng).amplitudes,
-                      haar_state([2] * (n - split), rng).amplitudes)
+def _shuffled_product(dims, split, rng):
+    """Haar(dims[:split]) x Haar(dims[split:]) on shuffled parties, and the product cut."""
+    n = len(dims)
+    product = np.kron(haar_state(dims[:split], rng).amplitudes,
+                      haar_state(dims[split:], rng).amplitudes)
     perm = rng.permutation(n)
-    state = permute_parties(make_custom([2] * n, product, renormalize=True), perm)
+    state = permute_parties(make_custom(dims, product, renormalize=True), perm)
     # party i of the shuffled state is party perm[i] of the product
     return state, from_parties(np.flatnonzero(perm < split), n)
 
 
-TREE_MIN = entmean.linalg._TREE_MIN_QUBITS
+def _row_side(dims, layout):
+    """The parties, as a mask, that a (part, axis order, d_a, d_b) layout puts on the rows."""
+    _, order, d_a, _ = layout
+    side, d = 0, 1
+    for k in order:
+        if d == d_a:
+            break
+        side, d = side | 1 << k, d * dims[k]
+    return side
+
+
+def _traces(walk):
+    return any(shape is not None for _, _, shape, _ in walk)
+
+
+# the fewest qubits whose states trace
+TREE_MIN = int(math.log2(entmean.linalg._TREE_MIN_SIZE))
+
+# local dims 2-4 over 3-8 parties, at most 8192 amplitudes
+_DIMS = st.lists(st.integers(2, 4), min_size=3, max_size=8).filter(
+    lambda dims: math.prod(dims) <= 8192
+)
 
 
 class TestTraceTree:
-    """Dense qubit states from _TREE_MIN_QUBITS up: one GEMM per balanced side, the rest traced."""
+    """The Gram walk: dense states of _TREE_MIN_SIZE or more amplitudes trace their sides."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -538,24 +561,83 @@ class TestTraceTree:
             2 ** min(len(p.parties_a), len(p.parties_b)) for p in parts
         ]
 
-    def test_small_symmetric_and_qudit_states_skip_the_tree(self, walks):
+    def test_symmetric_states_skip_the_walk_and_small_states_walk_roots(self, walks):
         rng = np.random.default_rng(303)
-        states = [
-            haar_state([2] * (TREE_MIN - 1), rng),
+        for state in (
             make_w(12),
             make_ghz(13),
             symmetric_state(rng.standard_normal(13) + 1j * rng.standard_normal(13)),
-            haar_state([3] + [2] * (TREE_MIN - 1), rng),
-        ]
-        for state in states:
+        ):
             full_report(state)
         assert not walks
+        # 128 and 192 amplitudes take a GEMM per cut; 384 trace
+        for dims in ([2] * (TREE_MIN - 1), [3, 2, 4, 2, 2, 2], [3] + [2] * (TREE_MIN - 1)):
+            full_report(haar_state(dims, rng))
+        assert [_traces(walk) for _, walk, _ in walks] == [False, False, True]
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_qubit_walk_roots_and_parents(self, n):
+        dims = (2,) * n
+        walk, layouts = entmean.linalg._gram_plan(dims)
+        assert sorted(c for c, _, _, _ in walk) == list(range(len(layouts)))
+        roots = [c for c, _, shape, _ in walk if shape is None]
+        assert roots == sorted(roots)
+        if n < TREE_MIN:
+            assert len(roots) == len(walk)
+        else:
+            balanced = math.comb(n - 1, n // 2 - 1) if n % 2 == 0 else math.comb(n, n // 2)
+            assert len(roots) == balanced
+        # each traced entry's parent is the last entry walked one level up
+        last = {}
+        for c, depth, shape, d in walk:
+            side = _row_side(dims, layouts[c])
+            if shape is not None:
+                assert side | (~side & (side + 1)) == last[depth - 1]
+                assert d == layouts[c][2]
+            last[depth] = side
+
+    @settings(max_examples=40, deadline=None)
+    @given(_DIMS, st.booleans(), st.integers(0, 2**32 - 1))
+    # the row side {0..4} holds more than n//2 parties, and its walk five levels
+    @example([2, 2, 2, 2, 2, 64], False, 0)
+    @example([2, 2, 2, 2, 2, 64], True, 1)
+    def test_every_cut_matches_schmidt_weights_on_random_dims(self, dims, real, seed):
+        state = (_real_haar if real else haar_state)(dims, np.random.default_rng(seed))
+        rows, top = cut_entropies(state)
+        ref_top = 0.0
+        for part, d_min, mixedness in rows:
+            weights = schmidt_weights(state, part)
+            assert d_min == len(weights)
+            assert abs(mixedness - linear_entropy(weights)) <= 1e-12
+            ref_top = max(ref_top, float(weights[0]))
+        assert abs(top - ref_top) <= 1e-12
+
+    def test_product_cuts_on_traced_qudit_nodes_stay_exactly_zero(self, walks):
+        dims = [3, 4, 2, 3, 2, 2]
+        rng = np.random.default_rng(320)
+        on_traced = 0
+        for split in range(1, len(dims)):
+            for _ in range(3):
+                state, part = _shuffled_product(dims, split, rng)
+                report = full_report(state)
+                assert report.gbc == report.gmc == report.ggm == 0.0, split
+                assert dict(report.per_bipartition)[part] < 1e-12, split
+                assert all(0.0 <= v <= 1.0 for _, v in report.per_bipartition), split
+                _, walk, layouts = walks[-1]
+                c = [p for p, _, _, _ in layouts].index(part)
+                on_traced += any(e[0] == c and e[2] is not None for e in walk)
+        assert on_traced >= 5
+
+    def test_every_sweep_family_stays_below_the_trace_gate(self):
+        # a traced family state would no longer equal its stacked grid row bit for bit
+        for dims, _ in entmean.states.FAMILIES.values():
+            assert math.prod(dims) < entmean.linalg._TREE_MIN_SIZE
 
     @pytest.mark.parametrize("n", [11, 12])
     def test_product_cuts_on_tree_nodes_stay_exactly_zero(self, n, walks):
         rng = np.random.default_rng(310 + n)
         for split in range(1, n // 2 + 1):
-            state, part = _shuffled_product(n, split, rng)
+            state, part = _shuffled_product([2] * n, split, rng)
             report = full_report(state)
             assert report.gbc == report.gmc == report.ggm == 0.0, split
             assert dict(report.per_bipartition)[part] < 1e-12, split
@@ -579,7 +661,7 @@ class TestTraceTree:
 
     def test_memory_holds_one_reduced_matrix_per_level(self, walks):
         state = haar_state([2] * 13, np.random.default_rng(313))
-        cut_entropies(state)  # the per-qubit-count plan and party orders are cached
+        cut_entropies(state)  # the per-dims plan and party orders are cached
         tracemalloc.start()
         try:
             cut_entropies(state)
@@ -593,15 +675,21 @@ class TestTraceTree:
     def test_eigen_solves_no_more_than_the_per_cut_loop(self, monkeypatch, walks):
         rng = np.random.default_rng(314)
         states = {"haar12": (haar_state([2] * 12, rng), 12)}
-        states["haar6xhaar6"] = (_shuffled_product(12, 6, rng)[0], 0)
+        states["haar6xhaar6"] = (_shuffled_product([2] * 12, 6, rng)[0], 0)
+        plan = entmean.linalg._gram_plan
         for name, (state, solves) in states.items():
             with monkeypatch.context() as patch:
                 calls = _spy(patch, np.linalg, "eigvalsh")
                 cut_entropies(state)
             assert len(calls) == solves, name
-            with monkeypatch.context() as patch:
-                patch.setattr(entmean.linalg, "_TREE_MIN_QUBITS", 15)
-                loop_calls = _spy(patch, np.linalg, "eigvalsh")
-                cut_entropies(state)
+            # an all-roots plan is the per-cut loop; no later test may inherit it
+            plan.cache_clear()
+            try:
+                with monkeypatch.context() as patch:
+                    patch.setattr(entmean.linalg, "_TREE_MIN_SIZE", 2**14 + 1)
+                    loop_calls = _spy(patch, np.linalg, "eigvalsh")
+                    cut_entropies(state)
+            finally:
+                plan.cache_clear()
             assert solves <= len(loop_calls), name
-        assert len(walks) == 2
+        assert [_traces(walk) for _, walk, _ in walks] == [True, False, True, False]
