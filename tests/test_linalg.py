@@ -625,8 +625,8 @@ class TestTraceTree:
                 assert all(0.0 <= v <= 1.0 for _, v in report.per_bipartition), split
                 _, walk, layouts = walks[-1]
                 c = [p for p, _, _, _ in layouts].index(part)
-                on_traced += any(e[0] == c and e[2] is not None for e in walk)
-        assert on_traced >= 5
+                on_traced += any(i == c and shape is not None for i, _, shape, _ in walk)
+        assert on_traced >= 5, on_traced
 
     def test_every_sweep_family_stays_below_the_trace_gate(self):
         # a traced family state would no longer equal its stacked grid row bit for bit
