@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .closedform import closed_form_table, emit_closed_form_csv
 from .measures import full_report
@@ -122,6 +123,9 @@ def _cmd_sweep(args) -> int:
     if args.measures:
         chosen = tuple(name.strip() for name in args.measures.split(",") if name.strip())
     spec = SweepSpec(family=args.family, steps=args.steps, measures=chosen)
+    # the script would replace the CSV it plots
+    if args.plot and Path(args.plot).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--plot and --out name the same file: {args.plot}")
     rows = run_sweep(spec)
     emit_csv(rows, args.out)
     if args.plot:

@@ -14,8 +14,8 @@ its matrix across any cut whose smaller side has m parties is the
 (m+1) x (n-m+1) matrix a_{j+l} sqrt(C(m, j) C(n-m, l)), so cut_entropies
 takes n//2 of those small matrices instead of one dense matrix per cut.
 
-Every other dense state walks one plan of Gram matrices (_gram_plan), built
-once per dims.  Each cut's side S is the side its layout puts on the rows.
+Every other dense state reads one plan per dims (_gram_plan): a cut table of
+axis orders, row dims d_min and column dims, and the walk of the row sides S.
 In a state of _TREE_MIN_SIZE or more amplitudes, S is traced over party k
 from its parent P = S | {k}, k the lowest party not in S, when P is itself
 a row side: O(d_S^2 d_k) additions in place of a GEMM.  Every other side is
@@ -31,8 +31,8 @@ are then taken in descending purity while sqrt(P) exceeds the top, each
 Gram matrix rebuilt by the GEMM of its cut matrix, so on every path the
 top comes from that GEMM and its solve.
 
-grid_cut_entropies runs the dense pass on a whole real grid of states at
-once, one stacked step per cut, with the bits of the pass on each row.
+grid_cut_entropies reads the same table to run the dense pass on a whole real
+grid at once, one stacked step per cut, with the bits of the pass on each row.
 """
 
 from __future__ import annotations
@@ -92,20 +92,20 @@ def schmidt_weights(state: PureState, part: Bipartition) -> np.ndarray:
 
 def cut_entropies(
     state: PureState,
-) -> tuple[tuple[tuple[Bipartition, int, float], ...], float]:
-    """One pass over the cuts: ((part, d_min, linear entropy), ...) and max weight.
+) -> tuple[tuple[Bipartition, ...], tuple[int, ...], list[float], float]:
+    """One pass over the cuts: (parts, d_mins, linear entropies, max weight).
 
-    The cuts come in canonical order, enumerated once.  Each cut's linear
-    entropy is 1 - P from its Gram purity P, unless that is below
-    GRAM_GUARD: then it is recomputed by SVD as cross terms, so a product
-    cut stays at round-off far below the product-cut threshold.  The
-    largest Schmidt weight over all cuts is exact to round-off: since
-    P <= lambda_max <= sqrt(P), a cut whose sqrt(P) does not exceed the
-    largest weight found so far cannot hold the maximum, so the cuts are
-    solved in descending P until the first such cut.
+    Cut c, in canonical order, is parts[c] and d_mins[c] its smaller side's
+    dimension.  Its linear entropy is 1 - P from its Gram purity P, unless
+    that is below GRAM_GUARD: then it is recomputed by SVD as cross terms,
+    so a product cut stays at round-off far below the product-cut
+    threshold.  The largest Schmidt weight over all cuts is exact to
+    round-off: since P <= lambda_max <= sqrt(P), a cut whose sqrt(P) does
+    not exceed the largest weight found so far cannot hold the maximum, so
+    the cuts are solved in descending P until the first such cut.
     A permutation-symmetric qubit state takes one small Dicke-basis matrix
-    per cut size instead, and any other state the Gram walk of its dims
-    (see the module docstring).
+    per cut size instead, and any other state the Gram walk and the cut
+    table of its dims (see the module docstring).
     """
     amplitudes = state.amplitudes
     if not amplitudes.imag.any():
@@ -116,19 +116,19 @@ def cut_entropies(
     parts = enumerate_bipartitions(state.n_parties)
     if _symmetric_qubits(tensor):
         return _symmetric_cut_entropies(tensor, parts)
-    walk, layouts = _gram_plan(state.dims)
+    plan = _gram_plan(state.dims)
     mixedness, top = _queued_cut_entropies(
-        lambda c: _cut_matrix(tensor, layouts[c]), len(layouts), _tree_grams(tensor, walk, layouts)
+        lambda c: _cut_matrix(tensor, plan, c), len(parts), _tree_grams(tensor, plan)
     )
-    return tuple((part, d_a, m) for (part, _, d_a, _), m in zip(layouts, mixedness)), top
+    return parts, plan[2], mixedness, top
 
 
 def grid_cut_entropies(
     dims: tuple[int, ...], grid: np.ndarray
-) -> tuple[list[tuple[Bipartition, int]], np.ndarray, np.ndarray]:
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """cut_entropies of every row of a real (k, prod(dims)) amplitude grid.
 
-    Returns the (part, d_min) of each canonical cut, the (k, cuts) linear
+    Returns the d_min of each canonical cut, the (k, cuts) linear
     entropies and the k largest weights.  Each cut takes one stacked step
     over all rows (_gram_steps), in the canonical cut order, so every row
     runs the decompositions, and gets the bits, that cut_entropies gives
@@ -136,28 +136,13 @@ def grid_cut_entropies(
     """
     k = len(grid)
     stack = grid.reshape((k,) + dims)
-    layouts = _cut_layouts(dims)
-    mixedness = np.empty((k, len(layouts)))
+    _, orders, d_mins, d_cols = _gram_plan(dims)
+    mixedness = np.empty((k, len(orders)))
     top = np.zeros(k)
-    for c, (_, order, d_a, d_b) in enumerate(layouts):
+    for c, (order, d_a, d_b) in enumerate(zip(orders, d_mins, d_cols)):
         axes = (0,) + tuple(axis + 1 for axis in order)
         mixedness[:, c], top = _gram_steps(stack.transpose(axes).reshape(k, d_a, d_b), top)
-    return [(part, d_a) for part, _, d_a, _ in layouts], mixedness, top
-
-
-def _cut_layouts(dims: tuple[int, ...]) -> list[tuple[Bipartition, tuple, int, int]]:
-    """(part, axis order, d_a, d_b) of each canonical cut, the smaller side first."""
-    size = math.prod(dims)
-    layouts = []
-    for part, side_a, order_ab, order_ba in _cut_orders(len(dims)):
-        d_a = math.prod([dims[k] for k in side_a])
-        d_b = size // d_a
-        # the smaller side indexes the rows
-        if d_a > d_b:
-            layouts.append((part, order_ba, d_b, d_a))
-        else:
-            layouts.append((part, order_ab, d_a, d_b))
-    return layouts
+    return d_mins, mixedness, top
 
 
 # one entry per party count a dense state can have, like the enumeration
@@ -170,19 +155,20 @@ def _cut_orders(n: int) -> tuple[tuple[Bipartition, tuple, tuple, tuple], ...]:
     )
 
 
-def _tree_grams(tensor: np.ndarray, walk, layouts):
-    """(cut index, Gram matrix) of each cut along a _gram_plan walk."""
+def _tree_grams(tensor: np.ndarray, plan):
+    """(cut index, Gram matrix) of each cut along the walk of a _gram_plan."""
+    d_mins = plan[2]
     # a row side can hold more than n//2 parties, so levels go to ndim
     levels = [None] * tensor.ndim
-    for c, depth, shape, d in walk:
+    for c, depth, shape in zip(*plan[0]):
         if shape is None:
-            rho = _gram(_cut_matrix(tensor, layouts[c]))
+            rho = _gram(_cut_matrix(tensor, plan, c))
         else:
             r = levels[depth - 1].reshape(shape)
             rho = r[:, 0, :, :, 0, :] + r[:, 1, :, :, 1, :]
             for j in range(2, shape[1]):
                 rho += r[:, j, :, :, j, :]
-            rho = rho.reshape(d, d)
+            rho = rho.reshape(d_mins[c], d_mins[c])
         levels[depth] = rho
         yield c, rho
 
@@ -219,10 +205,10 @@ def _queued_cut_entropies(cut_matrix, count: int, grams) -> tuple[list[float], f
     return mixedness, float(top)
 
 
-def _cut_matrix(tensor: np.ndarray, layout) -> np.ndarray:
-    """The matrix of one (part, axis order, d_a, d_b) cut layout, rows the smaller side."""
-    _, order, d_a, d_b = layout
-    return tensor.transpose(order).reshape(d_a, d_b)
+def _cut_matrix(tensor: np.ndarray, plan, c: int) -> np.ndarray:
+    """The matrix of cut c of a _gram_plan, rows the smaller side."""
+    _, orders, d_mins, d_cols = plan
+    return tensor.transpose(orders[c]).reshape(d_mins[c], d_cols[c])
 
 
 def _gram(matrix: np.ndarray) -> np.ndarray:
@@ -231,43 +217,54 @@ def _gram(matrix: np.ndarray) -> np.ndarray:
 
 # one plan per dims, like the party orders
 @functools.lru_cache(maxsize=MAX_PARTIES)
-def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, list[tuple[Bipartition, tuple, int, int]]]:
-    """(walk, cut layouts) of the Gram walk over a dense state of these dims.
+def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """(walk, orders, d_mins, d_cols): the cut table and Gram walk of a dense state of these dims.
 
-    The walk lists (cut index, depth, parent shape, d) depth first, the roots
-    (depth 0, shape None: one GEMM each) in cut order.  Any other cut's row
-    side S is traced from its parent S | {k}, k the lowest party not in S,
-    the last side walked at depth - 1: the parent's Gram matrix reshaped to
-    shape = (prod(dims[:k]), dims[k], b) * 2 and summed over k's two axes,
-    giving a d x d matrix.  S is traced when its parent is itself a row side
-    and the state has at least _TREE_MIN_SIZE amplitudes.
+    Cut c in canonical order has the matrix tensor.transpose(orders[c]) as
+    d_mins[c] x d_cols[c], the smaller side (party 0's on a tie) on the rows.
+    The walk is three parallel tuples (cut index, depth, parent shape),
+    depth first, the roots (depth 0, shape None: one GEMM each) in cut
+    order.  Any other cut's row side S is traced from its parent S | {k},
+    k the lowest party not in S, the last side walked at depth - 1: the
+    parent's Gram matrix reshaped to shape = (prod(dims[:k]), dims[k], b) * 2
+    and summed over k's two axes.  S is traced when its parent is itself a
+    row side and the state has at least _TREE_MIN_SIZE amplitudes.
     """
-    layouts = _cut_layouts(dims)
-    if math.prod(dims) < _TREE_MIN_SIZE:
-        return tuple((c, 0, None, None) for c in range(len(layouts))), layouts
-    prefix = [math.prod(dims[:k]) for k in range(len(dims))]
+    size = math.prod(dims)
     full = (1 << len(dims)) - 1
-    # row side -> cut index: the axis order starts with party 0 iff side A is the rows
-    index = {part.subset_a if order[0] == 0 else full ^ part.subset_a: c
-             for c, (part, order, _, _) in enumerate(layouts)}
-    walk = []
+    orders, d_mins, index = [], [], {}  # index: row side -> cut index, in cut order
+    for c, (part, side_a, order_ab, order_ba) in enumerate(_cut_orders(len(dims))):
+        d_a = math.prod([dims[k] for k in side_a])
+        if d_a > size // d_a:
+            orders.append(order_ba)
+            d_mins.append(size // d_a)
+            index[full ^ part.subset_a] = c
+        else:
+            orders.append(order_ab)
+            d_mins.append(d_a)
+            index[part.subset_a] = c
+    table = tuple(orders), tuple(d_mins), tuple(size // d for d in d_mins)
+    if size < _TREE_MIN_SIZE:
+        count = len(d_mins)
+        return (tuple(range(count)), (0,) * count, (None,) * count), *table
+    prefix = [math.prod(dims[:k]) for k in range(len(dims))]
     shapes = {}  # one tuple per (k, d), shared by every walk entry
-
-    def visit(side, d, depth):
+    walk = []
+    # (side, cut index, depth, parent shape), popped last in first: the roots in cut order
+    stack = [(side, c, 0, None) for side, c in reversed(index.items())
+             if side | (~side & (side + 1)) not in index]
+    while stack:
+        side, c, depth, _ = entry = stack.pop()
+        walk.append(entry)
+        d = d_mins[c]
         # each child drops a party k below the lowest party missing from side
-        for k in range((~side & (side + 1)).bit_length() - 1):
-            c = index.get(side & ~(1 << k))
-            if c is not None:
+        for k in reversed(range((~side & (side + 1)).bit_length() - 1)):
+            child = index.get(side & ~(1 << k))
+            if child is not None:
                 a, d_k = prefix[k], dims[k]
                 shape = shapes.setdefault((k, d), (a, d_k, d // (a * d_k)) * 2)
-                walk.append((c, depth + 1, shape, d // d_k))
-                visit(side & ~(1 << k), d // d_k, depth + 1)
-
-    for side, c in index.items():  # in cut order
-        if side | (~side & (side + 1)) not in index:
-            walk.append((c, 0, None, None))
-            visit(side, layouts[c][2], 0)
-    return tuple(walk), layouts
+                stack.append((side & ~(1 << k), child, depth + 1, shape))
+    return tuple(zip(*walk))[1:], *table
 
 
 def _gram_steps(matrices: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -342,12 +339,13 @@ def _symmetric_cut_entropies(tensor: np.ndarray, parts):
         )
     grams = ((i, _gram(matrix)) for i, matrix in enumerate(matrices))
     by_size, top = _queued_cut_entropies(matrices.__getitem__, len(matrices), grams)
-    rows = []
+    d_mins, mixedness = [], []
     for part in parts:
         size = part.subset_a.bit_count()
         m = min(size, n - size)
-        rows.append((part, 2**m, by_size[m - 1]))
-    return tuple(rows), top
+        d_mins.append(2**m)
+        mixedness.append(by_size[m - 1])
+    return parts, d_mins, mixedness, top
 
 
 def linear_entropy(weights: np.ndarray) -> float:

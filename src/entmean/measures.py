@@ -118,18 +118,19 @@ def full_report(state: PureState, regularized: bool = True) -> MeasureReport:
 
     gbc, gmc, ggm and concurrence_fill each return one field of this report.
     """
-    rows, top = cut_entropies(state)
-    values = _concurrences(rows, regularized)
+    parts, d_mins, mixedness, top = cut_entropies(state)
+    values = _concurrences(d_mins, mixedness, regularized)
     product_cut = any(v < ZERO_CUT_TOL for v in values)
     mean, product = (0.0, 0.0) if product_cut else _log_mean(values)
     fill = None
     if state.dims == (2, 2, 2):
         # the fill is always regularized
-        fill = 0.0 if product_cut else _fill(values if regularized else _concurrences(rows, True))
+        fill = 0.0 if product_cut else _fill(
+            values if regularized else _concurrences(d_mins, mixedness, True))
     return MeasureReport(
-        per_bipartition=tuple((part, v) for (part, _, _), v in zip(rows, values)),
+        per_bipartition=tuple(zip(parts, values)),
         product_p=product,
-        cardinality=len(rows),
+        cardinality=len(parts),
         gbc=mean,
         gmc=0.0 if product_cut else min(values),
         # top: the largest Schmidt weight over all cuts
@@ -150,8 +151,8 @@ def grid_columns(
     and the fill stay per row: numpy's log is not math.log to the last bit,
     and fsum and the fourth root have no bit-equal array form.
     """
-    cuts, mixedness, top = grid_cut_entropies(dims, grid)
-    d_min = np.array([d for _, d in cuts], dtype=float)
+    d_mins, mixedness, top = grid_cut_entropies(dims, grid)
+    d_min = np.array(d_mins, dtype=float)
     conc = np.minimum(1.0, np.sqrt(d_min / (d_min - 1.0) * mixedness))
     product = (conc < ZERO_CUT_TOL).any(axis=1)
     columns = {}
@@ -181,8 +182,8 @@ def _concurrence(d_min: int, mixedness: float, regularized: bool) -> float:
     return math.sqrt(2.0 * mixedness)
 
 
-def _concurrences(rows, regularized: bool) -> list[float]:
-    return [_concurrence(d_min, mixedness, regularized) for _, d_min, mixedness in rows]
+def _concurrences(d_mins, mixedness, regularized: bool) -> list[float]:
+    return [_concurrence(d, m, regularized) for d, m in zip(d_mins, mixedness)]
 
 
 def _log_mean(values) -> tuple[float, float]:

@@ -56,14 +56,15 @@ class PureState:
     def from_json_dict(cls, doc: dict) -> "PureState":
         """Rebuild a state from its JSON document.
 
-        The "im" field may be omitted for real vectors.  The vector goes
-        through the same norm gate as make_custom, so documents written by
-        other tools are renormalized if they are off by at most 1e-9.
+        "re" and "im" are lists of JSON numbers (int or float, not bool);
+        "im" may be omitted for real vectors.  The vector goes through the
+        same norm gate as make_custom, so documents written by other tools
+        are renormalized if they are off by at most 1e-9.
         """
         try:
             dims = doc["dims"]
-            re = np.asarray(doc["re"], dtype=np.float64)
-            im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=np.float64)
+            re = _amplitude_field(doc, "re")
+            im = _amplitude_field(doc, "im") if "im" in doc else np.zeros_like(re)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"state document is missing field: {exc}") from exc
         if re.shape != im.shape:
@@ -71,6 +72,19 @@ class PureState:
                 f"re/im length mismatch: {re.shape} vs {im.shape}"
             )
         return make_custom(dims, re + 1j * im)
+
+
+def _amplitude_field(doc: dict, field: str) -> np.ndarray:
+    """A state document's "re" or "im" list as floats, or one ValueError naming the field."""
+    values = doc[field]
+    if isinstance(values, list) and all(type(v) in (int, float) for v in values):
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(
+        f"state document field {field!r} must be a list of numbers in the float range"
+    )
 
 
 def make_custom(dims, amplitudes, renormalize: bool = False) -> PureState:

@@ -28,8 +28,8 @@ MAX_STEPS = 10_001
 # meets would otherwise list about MAX_STEPS**2 of them
 MAX_FINDINGS = 250_000
 # the miner gathers the candidate pairs of rows with narrow x-windows into
-# blocks of at most _BLOCK_BUDGET pairs.  A row whose window is wider than
-# _WIDE_WINDOW (at most _BLOCK_BUDGET) is tested on its own: numpy compares
+# blocks of at most _BLOCK_BUDGET pairs, or of one row wider than that.  A row
+# whose window is wider than _WIDE_WINDOW is tested on its own: numpy compares
 # a scalar with a contiguous slice several times faster per element than a
 # gathered pair, and that pays for the per-row calls near this width.
 _BLOCK_BUDGET = 4096
@@ -287,7 +287,9 @@ def _matched_pairs(xa, ya, xb, yb, match_tol, sep_min):
         # budget holds, gathered into one flat test
         while start < wide:
             done = ends[start - 1] if start else 0
-            stop = min(int(np.searchsorted(ends, done + _BLOCK_BUDGET, side="right")), wide)
+            # at least one row, so a row wider than the budget still moves start
+            stop = int(np.searchsorted(ends, done + _BLOCK_BUDGET, side="right"))
+            stop = min(max(stop, start + 1), wide)
             w = width[start:stop]
             rows = np.repeat(np.arange(start, stop), w)
             # each row's sorted positions lo, lo + 1, ..., hi - 1
@@ -371,7 +373,9 @@ def emit_csv(rows: list[SweepRow], path) -> None:
 
 
 def emit_plotscript(rows: list[SweepRow], path, csv_path) -> None:
-    """Write a standalone gnuplot script that plots an emitted CSV."""
+    """Write a standalone gnuplot script that plots an emitted CSV of at least one row."""
+    if not rows:
+        raise ValueError("a plot script needs at least one sweep row")
     present = [name for name in MEASURE_COLUMNS if name in rows[0].values]
     # a quote inside a single-quoted gnuplot string is written twice
     quoted = "'" + str(csv_path).replace("'", "''") + "'"

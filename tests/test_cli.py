@@ -54,7 +54,14 @@ class TestMeasure:
             ('{"dims": [2.7, 2], "re": [1, 0, 0, 0]}', "must be integers, got (2.7, 2)"),
             ('{"dims": [null, 2], "re": [1, 0, 0, 0]}', "must be integers, got (None, 2)"),
             ('{"dims": [Infinity, 2], "re": [1, 0, 0, 0]}', "must be integers, got (inf, 2)"),
-            ('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": [{}, 0, 0, 0]}', "missing"),
+            ('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": [{}, 0, 0, 0]}', "field 'im' must be"),
+            # amplitudes are JSON numbers: no strings, no booleans, none beyond a float
+            ('{"dims": [2, 2], "re": [0.6, 0, 0, "0.8"]}', "field 're' must be a list"),
+            ('{"dims": [2, 2], "re": [true, 0, 0, 0]}', "field 're' must be a list"),
+            pytest.param('{"dims": [2, 2], "re": [1' + "0" * 400 + ', 0, 0, 0]}',
+                         "in the float range", id="re-integer-beyond-float"),
+            ('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": null}', "field 'im' must be"),
+            ('{"dims": [2, 2], "re": {"0": 1}}', "field 're' must be a list"),
         ],
     )
     def test_malformed_state_file_exits_2(self, doc, message, tmp_path, capsys):
@@ -123,6 +130,18 @@ class TestSweep:
         )
         assert code == 0, capsys.readouterr().err
         assert f"'{csv}' every ::1 " in plot.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("plot", ["f.csv", "./f.csv", "sub/../f.csv"])
+    def test_plot_naming_the_csv_exits_2_and_writes_nothing(self, plot, tmp_path, capsys,
+                                                            monkeypatch):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", "--family", "c", "--steps", "3", "--out", "f.csv", "--plot", plot])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--plot and --out name the same file" in captured.err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_measures_subset(self, tmp_path):
         csv = tmp_path / "c.csv"

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -212,7 +213,7 @@ def _svd_path(state):
 
 def _gram_path(state):
     values = [value for _, value in full_report(state).per_bipartition]
-    return values, cut_entropies(state)[1]
+    return values, cut_entropies(state)[3]
 
 
 class TestCutEntropies:
@@ -233,9 +234,10 @@ class TestCutEntropies:
 
     def test_rows_follow_the_canonical_cuts(self):
         state = haar_state([3, 2, 2], np.random.default_rng(67))
-        rows, _ = cut_entropies(state)
-        assert [part for part, _, _ in rows] == list(enumerate_bipartitions(3))
-        assert [d_min for _, d_min, _ in rows] == [3, 2, 2]
+        parts, d_mins, mixedness, _ = cut_entropies(state)
+        assert parts == enumerate_bipartitions(3)
+        assert list(d_mins) == [3, 2, 2]
+        assert len(mixedness) == 3
 
     @pytest.mark.parametrize("n", range(3, 13))
     @pytest.mark.parametrize("builder", [make_ghz, make_w])
@@ -263,8 +265,8 @@ def _near_product(eps):
 
 
 def _guard_cut_entropy(state):
-    rows, _ = cut_entropies(state)
-    return next(mixedness for part, _, mixedness in rows if part == _GUARD_CUT)
+    parts, _, mixedness, _ = cut_entropies(state)
+    return mixedness[parts.index(_GUARD_CUT)]
 
 
 class TestGramGuard:
@@ -432,11 +434,11 @@ class TestStackedStep:
     )
     def test_grid_rows_equal_cut_entropies(self, dims):
         grid = _real_grid(np.random.default_rng(len(dims) + dims[1]), dims, 41)
-        cuts, mixedness, top = entmean.linalg.grid_cut_entropies(dims, grid)
+        d_mins, mixedness, top = entmean.linalg.grid_cut_entropies(dims, grid)
         for r, row in enumerate(grid):
-            rows, row_top = cut_entropies(PureState(dims, row))
-            assert [(part, d_min) for part, d_min, _ in rows] == cuts
-            assert [m for _, _, m in rows] == mixedness[r].tolist()
+            parts, row_d_mins, row_mixedness, row_top = cut_entropies(PureState(dims, row))
+            assert row_d_mins == d_mins and len(parts) == len(d_mins)
+            assert row_mixedness == mixedness[r].tolist()
             assert row_top == top[r]
 
     def test_one_svd_and_one_eigvalsh_per_cut(self, monkeypatch):
@@ -473,7 +475,7 @@ class TestStackedStep:
 
 
 class TestCutLayouts:
-    """Each cut's layout puts the smaller side first and matches reshape."""
+    """_gram_plan's cut table: each cut's matrix, the smaller side first, read by every path."""
 
     @pytest.mark.parametrize(
         "dims", [(2, 2), (4, 2, 3), (3, 2, 2, 4), (2, 4, 3, 2, 2), (2,) * 7],
@@ -481,19 +483,55 @@ class TestCutLayouts:
     )
     def test_layout_is_the_cut_matrix_smaller_side_first(self, dims):
         state = haar_state(dims, np.random.default_rng(len(dims)))
-        layouts = entmean.linalg._cut_layouts(dims)
-        assert [part for part, _, _, _ in layouts] == list(enumerate_bipartitions(len(dims)))
-        for part, order, d_a, d_b in layouts:
-            assert d_a <= d_b and d_a * d_b == math.prod(dims)
-            matrix = state.as_tensor().transpose(order).reshape(d_a, d_b)
+        walk, orders, d_mins, d_cols = entmean.linalg._gram_plan(dims)
+        parts = enumerate_bipartitions(len(dims))
+        assert len(orders) == len(d_mins) == len(d_cols) == len(parts)
+        for part, order, d_min, d_col in zip(parts, orders, d_mins, d_cols):
+            assert d_min <= d_col and d_min * d_col == math.prod(dims)
+            matrix = state.as_tensor().transpose(order).reshape(d_min, d_col)
             cut = reshape(state, part)
-            assert np.array_equal(matrix, cut if cut.shape == (d_a, d_b) else cut.T)
+            assert np.array_equal(matrix, cut if cut.shape == (d_min, d_col) else cut.T)
 
     def test_party_orders_cached_once_per_party_count(self):
         orders, plan = entmean.linalg._cut_orders, entmean.linalg._gram_plan
         for cached, key in ((orders, 5), (plan, (3, 2, 2, 4)), (plan, (2,) * 9)):
             assert cached.cache_info().maxsize == entmean.states.MAX_PARTIES
             assert cached(key) is cached(key)
+        # the dense pass and the grid read the cached table, not a copy
+        rng = np.random.default_rng(9)
+        for dims in ((3, 2, 2, 4), (2,) * 9):
+            first, second = (cut_entropies(haar_state(dims, rng))[1] for _ in range(2))
+            assert first is second is plan(dims)[2]
+        grid = _real_grid(rng, (2, 3, 2), 5)
+        assert entmean.linalg.grid_cut_entropies((2, 3, 2), grid)[0] is plan((2, 3, 2))[2]
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_path_gives_the_same_d_mins(self, n, monkeypatch):
+        dims = (2,) * n
+        state = make_w(n)
+        symmetric = cut_entropies(state)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(entmean.linalg, "_symmetric_qubits", lambda tensor: False)
+            dense = cut_entropies(state)[1]
+        grid = entmean.linalg.grid_cut_entropies(dims, state.amplitudes.real[None, :])[0]
+        assert list(symmetric) == list(dense) == list(grid)
+        assert symmetric is not dense
+
+    def test_fourteen_qubit_plan_memory(self):
+        dims = (2,) * 14
+        entmean.linalg._cut_orders(14)  # the party orders are a cache of their own
+        gc.collect()
+        tracemalloc.start()
+        try:
+            # built apart from the cache, so no later test loses a cached plan
+            plan = entmean.linalg._gram_plan.__wrapped__(dims)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(plan[2]) == 8191
+        # one tuple per walk entry and per cut layout took 1.57 MiB
+        assert held < 2**20, held
 
 
 def _real_haar(dims, rng):
@@ -512,19 +550,18 @@ def _shuffled_product(dims, split, rng):
     return state, from_parties(np.flatnonzero(perm < split), n)
 
 
-def _row_side(dims, layout):
-    """The parties, as a mask, that a (part, axis order, d_a, d_b) layout puts on the rows."""
-    _, order, d_a, _ = layout
+def _row_side(dims, order, d_min):
+    """The parties, as a mask, that a cut of this axis order and row dim puts on the rows."""
     side, d = 0, 1
     for k in order:
-        if d == d_a:
+        if d == d_min:
             break
         side, d = side | 1 << k, d * dims[k]
     return side
 
 
-def _traces(walk):
-    return any(shape is not None for _, _, shape, _ in walk)
+def _traces(plan):
+    return any(shape is not None for shape in plan[0][2])
 
 
 # the fewest qubits whose states trace
@@ -549,17 +586,14 @@ class TestTraceTree:
     def test_agrees_with_the_svd_path(self, n, field, walks):
         rng = np.random.default_rng(300 + n)
         state = (_real_haar if field == "real" else haar_state)([2] * n, rng)
-        rows, top = cut_entropies(state)
+        parts, d_mins, _, top = cut_entropies(state)
         assert len(walks) == 1
         values = [value for _, value in full_report(state).per_bipartition]
         ref_values, ref_top = _svd_path(state)
         assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12
         assert abs(top - ref_top) <= 1e-12
-        parts = enumerate_bipartitions(n)
-        assert [part for part, _, _ in rows] == list(parts)
-        assert [d_min for _, d_min, _ in rows] == [
-            2 ** min(len(p.parties_a), len(p.parties_b)) for p in parts
-        ]
+        assert parts == enumerate_bipartitions(n)
+        assert list(d_mins) == [2 ** min(len(p.parties_a), len(p.parties_b)) for p in parts]
 
     def test_symmetric_states_skip_the_walk_and_small_states_walk_roots(self, walks):
         rng = np.random.default_rng(303)
@@ -573,27 +607,29 @@ class TestTraceTree:
         # 128 and 192 amplitudes take a GEMM per cut; 384 trace
         for dims in ([2] * (TREE_MIN - 1), [3, 2, 4, 2, 2, 2], [3] + [2] * (TREE_MIN - 1)):
             full_report(haar_state(dims, rng))
-        assert [_traces(walk) for _, walk, _ in walks] == [False, False, True]
+        assert [_traces(plan) for _, plan in walks] == [False, False, True]
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_qubit_walk_roots_and_parents(self, n):
         dims = (2,) * n
-        walk, layouts = entmean.linalg._gram_plan(dims)
-        assert sorted(c for c, _, _, _ in walk) == list(range(len(layouts)))
-        roots = [c for c, _, shape, _ in walk if shape is None]
+        walk, orders, d_mins, _ = entmean.linalg._gram_plan(dims)
+        assert len(set(map(len, walk))) == 1
+        assert sorted(walk[0]) == list(range(len(orders)))
+        roots = [c for c, _, shape in zip(*walk) if shape is None]
         assert roots == sorted(roots)
         if n < TREE_MIN:
-            assert len(roots) == len(walk)
+            assert len(roots) == len(walk[0])
         else:
             balanced = math.comb(n - 1, n // 2 - 1) if n % 2 == 0 else math.comb(n, n // 2)
             assert len(roots) == balanced
         # each traced entry's parent is the last entry walked one level up
         last = {}
-        for c, depth, shape, d in walk:
-            side = _row_side(dims, layouts[c])
+        for c, depth, shape in zip(*walk):
+            side = _row_side(dims, orders[c], d_mins[c])
             if shape is not None:
                 assert side | (~side & (side + 1)) == last[depth - 1]
-                assert d == layouts[c][2]
+                # the parent's Gram matrix traced over k leaves d_min x d_min
+                assert shape[0] * shape[2] == d_mins[c]
             last[depth] = side
 
     @settings(max_examples=40, deadline=None)
@@ -603,9 +639,9 @@ class TestTraceTree:
     @example([2, 2, 2, 2, 2, 64], True, 1)
     def test_every_cut_matches_schmidt_weights_on_random_dims(self, dims, real, seed):
         state = (_real_haar if real else haar_state)(dims, np.random.default_rng(seed))
-        rows, top = cut_entropies(state)
+        parts, d_mins, mixedness_of, top = cut_entropies(state)
         ref_top = 0.0
-        for part, d_min, mixedness in rows:
+        for part, d_min, mixedness in zip(parts, d_mins, mixedness_of, strict=True):
             weights = schmidt_weights(state, part)
             assert d_min == len(weights)
             assert abs(mixedness - linear_entropy(weights)) <= 1e-12
@@ -623,9 +659,9 @@ class TestTraceTree:
                 assert report.gbc == report.gmc == report.ggm == 0.0, split
                 assert dict(report.per_bipartition)[part] < 1e-12, split
                 assert all(0.0 <= v <= 1.0 for _, v in report.per_bipartition), split
-                _, walk, layouts = walks[-1]
-                c = [p for p, _, _, _ in layouts].index(part)
-                on_traced += any(i == c and shape is not None for i, _, shape, _ in walk)
+                cuts, _, shapes = walks[-1][1][0]
+                c = enumerate_bipartitions(len(dims)).index(part)
+                on_traced += shapes[cuts.index(c)] is not None
         assert on_traced >= 5, on_traced
 
     def test_every_sweep_family_stays_below_the_trace_gate(self):
@@ -692,4 +728,4 @@ class TestTraceTree:
             finally:
                 plan.cache_clear()
             assert solves <= len(loop_calls), name
-        assert [_traces(walk) for _, walk, _ in walks] == [True, False, True, False]
+        assert [_traces(plan) for _, plan in walks] == [True, False, True, False]

@@ -321,8 +321,8 @@ class TestOnePass:
         state = embed_product(
             pair, haar_state([2, 2], rng), from_parties([0, 1], 4)
         )
-        rows, _ = entmean.linalg.cut_entropies(state)
-        guarded = [part.label for part, _, mixedness in rows if mixedness < GRAM_GUARD]
+        parts, _, mixedness, _ = entmean.linalg.cut_entropies(state)
+        guarded = [part.label for part, m in zip(parts, mixedness) if m < GRAM_GUARD]
         assert guarded == ["0|123", "01|23", "023|1"]
         for function in self._measures(state):
             calls.clear()

@@ -268,8 +268,10 @@ class TestPureState:
             PureState.from_json_dict({"dims": [2], "re": [0.6, 0.8], "im": [0.0]})
 
     def test_json_malformed_im(self):
-        with pytest.raises(ValueError, match="missing"):
-            PureState.from_json_dict({"dims": [2, 2], "re": [1, 0, 0, 0], "im": [{}, 0, 0, 0]})
+        # a field that is present but not a list of numbers is named, not "missing"
+        for im in ([{}, 0, 0, 0], None, [0, 0, 0, "0"], [False, 0, 0, 0], [10**400, 0, 0, 0]):
+            with pytest.raises(ValueError, match="field 'im' must be a list of numbers"):
+                PureState.from_json_dict({"dims": [2, 2], "re": [1, 0, 0, 0], "im": im})
 
     def test_json_complex_preserved(self):
         state = make_custom([2], [0.6, 0.8j])

@@ -629,9 +629,10 @@ def mining_cases(draw):
             draw(st.lists(ys, min_size=n_b, max_size=n_b)),
         )
     # (block budget, widest window gathered into a block): the defaults, and
-    # budgets small enough that blocks end inside runs of rows
+    # budgets small enough that blocks end inside runs of rows, and a budget
+    # below the widest narrow window, so a block holds one row wider than it
     defaults = (sweep._BLOCK_BUDGET, sweep._WIDE_WINDOW)
-    budgets = draw(st.sampled_from([defaults, (3, 2), (1, 1), (4, 0)]))
+    budgets = draw(st.sampled_from([defaults, (3, 2), (1, 1), (4, 0), (2, 5)]))
     return rows_a, rows_b, match_tol, sep_min, budgets
 
 
@@ -765,6 +766,12 @@ class TestEmission:
         assert "'sweep.csv'" in text
         assert "using 2:3" in text and "title 'gbc'" in text
         assert "using 2:6" in text and "title 'fill'" in text
+
+    def test_plotscript_of_no_rows_is_a_value_error(self, tmp_path):
+        gp = tmp_path / "empty.gp"
+        with pytest.raises(ValueError, match="at least one sweep row"):
+            emit_plotscript([], gp, csv_path="empty.csv")
+        assert not gp.exists()
 
     def test_plotscript_only_present_columns(self, tmp_path):
         rows = run_sweep(SweepSpec(family="c", steps=3, measures=("gmc",)))
