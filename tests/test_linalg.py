@@ -515,7 +515,7 @@ class TestCutLayouts:
             dense = cut_entropies(state)[1]
         grid = entmean.linalg.grid_cut_entropies(dims, state.amplitudes.real[None, :])[0]
         assert list(symmetric) == list(dense) == list(grid)
-        assert symmetric is not dense
+        assert dense is grid is entmean.linalg._gram_plan(dims)[2]
 
     def test_fourteen_qubit_plan_memory(self):
         dims = (2,) * 14
