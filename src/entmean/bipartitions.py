@@ -10,7 +10,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .states import MAX_PARTIES
+from .states import MAX_PARTIES, _integer
 
 MAX_N = 20  # bitmask enumeration cap; dense states stop at states.MAX_PARTIES
 
@@ -58,6 +58,7 @@ def enumerate_bipartitions(n: int) -> tuple[Bipartition, ...]:
     enumerations of up to MAX_PARTIES parties, the counts a dense state
     can have, are built once and shared.
     """
+    n = _integer("n", n)
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")
     if n <= MAX_PARTIES:

@@ -13,13 +13,14 @@ import math
 from dataclasses import dataclass
 
 from .bipartitions import cut_multiplicity
+from .states import _integer
 
 MAX_N = 64
 
 
 def ghz_concurrence_m(n: int, m: int) -> float:
     """GHZ concurrence across any m-vs-rest qubit cut: sqrt(d/(2(d-1))), d = 2**m."""
-    _check_split(n, m)
+    n, m = _check_split(n, m)
     d = 2.0**m
     return math.sqrt(d / (2.0 * (d - 1.0)))
 
@@ -31,7 +32,7 @@ def w_concurrence_m(n: int, m: int) -> float:
     2 sqrt((n-1)/n^2), and at a balanced cut it coincides with the GHZ
     value.
     """
-    _check_split(n, m)
+    n, m = _check_split(n, m)
     return math.sqrt((m * n - m * m) * 2.0 ** (m + 1) / ((2.0**m - 1.0) * n * n))
 
 
@@ -67,6 +68,7 @@ def ratio_w_over_ghz(n: int) -> float:
 
 def closed_form_table(n_max: int) -> list[tuple[int, float, float, float]]:
     """Rows (n, gbc_ghz, gbc_w, ratio) for n = 2..n_max."""
+    n_max = _integer("n_max", n_max)
     if not 2 <= n_max <= MAX_N:
         raise ValueError(f"n_max must be in 2..{MAX_N}, got {n_max}")
     table = []
@@ -86,6 +88,7 @@ def emit_closed_form_csv(table, path) -> None:
 
 
 def _row(n: int, factor) -> ClosedFormRow:
+    n = _integer("n", n)
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")
     terms = tuple(
@@ -96,8 +99,11 @@ def _row(n: int, factor) -> ClosedFormRow:
     return ClosedFormRow(n, terms, log_product, math.exp(log_product / cardinality))
 
 
-def _check_split(n: int, m: int) -> None:
+def _check_split(n: int, m: int) -> tuple[int, int]:
+    """n and m as ints, with 2 <= n <= MAX_N and 1 <= m <= n // 2."""
+    n, m = _integer("n", n), _integer("m", m)
     if not 2 <= n <= MAX_N:
         raise ValueError(f"party count must be in 2..{MAX_N}, got {n}")
     if not 1 <= m <= n // 2:
         raise ValueError(f"split size must be in 1..{n // 2}, got {m}")
+    return n, m

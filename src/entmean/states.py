@@ -9,6 +9,7 @@ C-contiguous reshape to one axis per party produces.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class PureState:
         same norm gate as make_custom, so documents written by other tools
         are renormalized if they are off by at most 1e-9.
         """
+        if not isinstance(doc, dict):
+            raise ValueError(f"state document must be a JSON object, got {type(doc).__name__}")
         try:
             dims = doc["dims"]
             re = _amplitude_field(doc, "re")
@@ -157,8 +160,17 @@ def _require_unit_norm(norm: float) -> None:
         )
 
 
+def _integer(name: str, value) -> int:
+    """A count or party index as an int: Python and numpy integers only."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def make_ghz(n: int) -> PureState:
     """Equal superposition of |0...0> and |1...1> over n qubits."""
+    n = _integer("n", n)
     if not 2 <= n <= MAX_PARTIES:
         raise ValueError(f"ghz construction needs 2 <= n <= {MAX_PARTIES}, got {n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -168,6 +180,7 @@ def make_ghz(n: int) -> PureState:
 
 def make_w(n: int) -> PureState:
     """Symmetric single-excitation state over n qubits."""
+    n = _integer("n", n)
     if not 2 <= n <= MAX_PARTIES:
         raise ValueError(f"w construction needs 2 <= n <= {MAX_PARTIES}, got {n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -263,7 +276,7 @@ def _check_rows(rows: np.ndarray) -> None:
 
 def permute_parties(state: PureState, perm) -> PureState:
     """Relabel parties: party i of the result is party perm[i] of the input."""
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_integer("perm entry", p) for p in perm)
     if sorted(perm) != list(range(state.n_parties)):
         raise ValueError(f"{perm} is not a permutation of 0..{state.n_parties - 1}")
     dims = tuple(state.dims[p] for p in perm)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from conftest import from_parties
 from hypothesis import given, settings
@@ -82,6 +83,14 @@ class TestEnumeration:
             enumerate_bipartitions(1)
         with pytest.raises(ValueError):
             enumerate_bipartitions(21)
+
+    @pytest.mark.parametrize("n", [4.0, 3.5, "4", None])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            enumerate_bipartitions(n)
+
+    def test_numpy_integer_count_accepted(self):
+        assert enumerate_bipartitions(np.int64(4)) is enumerate_bipartitions(4)
 
 
 def _cut_count(n: int) -> int:

@@ -62,6 +62,10 @@ class TestMeasure:
                          "in the float range", id="re-integer-beyond-float"),
             ('{"dims": [2, 2], "re": [1, 0, 0, 0], "im": null}', "field 'im' must be"),
             ('{"dims": [2, 2], "re": {"0": 1}}', "field 're' must be a list"),
+            # a document that is not an object is named as such, not as a missing field
+            ("[1, 0]", "must be a JSON object, got list"),
+            ('"abc"', "must be a JSON object, got str"),
+            ("null", "must be a JSON object, got NoneType"),
         ],
     )
     def test_malformed_state_file_exits_2(self, doc, message, tmp_path, capsys):

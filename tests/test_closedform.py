@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from conftest import from_parties, symmetric_state
 
@@ -16,6 +17,34 @@ from entmean import (
     ratio_w_over_ghz,
     w_concurrence_m,
 )
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # silently evaluated at a fractional or float n before
+            (lambda: w_concurrence_m(4.5, 1), "n"),
+            (lambda: ghz_concurrence_m(4.0, 1), "n"),
+            (lambda: ghz_concurrence_m(4, 1.0), "m"),
+            (lambda: w_concurrence_m(4, "1"), "m"),
+            (lambda: gbc_ghz(4.0), "n"),
+            (lambda: gbc_w(4.0), "n"),
+            (lambda: ratio_w_over_ghz(20.0), "n"),
+            (lambda: closed_form_table(3.0), "n_max"),
+        ],
+    )
+    def test_non_integer_rejected(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        n, m = np.int64(6), np.int32(2)
+        assert ghz_concurrence_m(n, m) == ghz_concurrence_m(6, 2)
+        assert w_concurrence_m(n, m) == w_concurrence_m(6, 2)
+        assert gbc_w(n) == gbc_w(6) and type(gbc_w(n).n) is int
+        assert ratio_w_over_ghz(n) == ratio_w_over_ghz(6)
+        assert closed_form_table(n) == closed_form_table(6)
 
 
 class TestGhzFactor:

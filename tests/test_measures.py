@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +208,24 @@ class TestFullReport:
         assert set(doc["concurrences"]) == {"0|12", "01|2", "02|1"}
         assert doc["cardinality"] == 3
         assert doc["fill"] == pytest.approx(1.0)
+
+    def test_readme_quick_start_values(self):
+        # every value the README's library quick start shows, read from its text
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        start = readme.index("## Library quick start")
+        quick_start = readme[start : readme.index("```\n", readme.index("```python", start) + 9)]
+        report = full_report(make_ghz(3))
+        shown = ", ".join(map(repr, (report.gbc, report.gmc, report.ggm, report.fill)))
+        assert f"report.gbc, report.gmc, report.ggm, report.fill   # {shown}\n" in quick_start
+        assert report.ggm == 0.5000000000000001
+        weights = entmean.schmidt_weights(make_w(4), entmean.Bipartition(1, 4))
+        assert f"[{weights[0]:.2f}, {weights[1]:.2f}], one SVD" in quick_start
+        assert np.abs(weights - [0.75, 0.25]).max() <= 1e-15
+        assert len(enumerate_bipartitions(4)) == 7 and "the 7 cuts" in quick_start
+        assert abs(gbc(make_w(4)) - gbc_w(4).gbc) <= 1e-10
+        assert "same value to 1e-10" in quick_start
+        ratio = entmean.ratio_w_over_ghz(20)
+        assert f"# {str(ratio)[:7]}...\n" in quick_start and str(ratio).startswith("0.97317")
 
     def test_regularized_flag_threads_through(self):
         state = haar_state([2, 2, 2, 2], np.random.default_rng(19))

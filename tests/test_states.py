@@ -47,6 +47,19 @@ class TestMakeGhz:
             make_ghz(15)
 
 
+@pytest.mark.parametrize("build", [make_ghz, make_w])
+class TestPartyCount:
+    def test_numpy_integer_accepted(self, build):
+        state = build(np.int64(3))
+        assert state.dims == (2, 2, 2)
+        np.testing.assert_array_equal(state.amplitudes, build(3).amplitudes)
+
+    @pytest.mark.parametrize("n", [3.0, 3.5, "3", None])
+    def test_non_integer_rejected(self, build, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            build(n)
+
+
 class TestMakeW:
     def test_n3_amplitudes(self):
         state = make_w(3)
@@ -263,6 +276,11 @@ class TestPureState:
         with pytest.raises(ValueError, match="missing"):
             PureState.from_json_dict({"dims": [2]})
 
+    @pytest.mark.parametrize("doc", [[1, 0], "abc", None, 2.0, [{"dims": [2], "re": [1, 0]}]])
+    def test_json_document_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="state document must be a JSON object, got "):
+            PureState.from_json_dict(doc)
+
     def test_json_re_im_length_mismatch(self):
         with pytest.raises(ValueError, match="re/im length mismatch"):
             PureState.from_json_dict({"dims": [2], "re": [0.6, 0.8], "im": [0.0]})
@@ -313,6 +331,20 @@ class TestTransforms:
     def test_permute_validates(self):
         with pytest.raises(ValueError):
             permute_parties(make_ghz(2), [0, 0])
+
+    def test_permute_takes_numpy_integers(self):
+        state = make_custom([2, 3], [0, 0, 1, 0, 0, 0])
+        swapped = permute_parties(state, np.array([1, 0]))
+        assert swapped.dims == (3, 2)
+        assert np.flatnonzero(swapped.amplitudes).tolist() == [4]
+
+    @pytest.mark.parametrize(
+        "perm", [(0.9, 1.2, 2.0), ("0", "1", "2"), (0.0, 1.0, 2.0), (0, 1, None)]
+    )
+    def test_permute_rejects_entries_that_are_not_integers(self, perm):
+        # int() of these would have read every one as a valid permutation
+        with pytest.raises(ValueError, match="perm entry must be an integer"):
+            permute_parties(make_w(3), perm)
 
     def test_local_unitary_keeps_norm(self):
         phase = np.diag([1.0, 1j])

@@ -117,6 +117,19 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(family="a", measures=())
 
+    @pytest.mark.parametrize("steps", [3.0, 2.5, "3", None])
+    def test_steps_must_be_an_integer(self, steps):
+        # 3.0 was kept as 3.0, and run_sweep then raised TypeError
+        with pytest.raises(ValueError, match=r"^steps must be an integer, got "):
+            SweepSpec(family="a", steps=steps)
+
+    def test_numpy_integer_steps(self):
+        spec = SweepSpec(family="a", steps=np.int64(5))
+        assert type(spec.steps) is int and spec == SweepSpec(family="a", steps=5)
+        rows = run_sweep(spec)
+        assert rows == run_sweep(SweepSpec(family="a", steps=5))
+        assert all(type(row.theta) is float for row in rows)
+
     def test_steps_capped(self):
         assert SweepSpec(family="a", steps=MAX_STEPS).steps == MAX_STEPS
         with pytest.raises(ValueError, match=f"steps must be <= {MAX_STEPS}"):
@@ -524,6 +537,27 @@ class TestOrderingReversals:
         assert 100 <= len(pairs) <= 1000
         assert peak < 16 * 2**20
 
+    def test_match_memory_is_bounded_on_wide_windows(self):
+        # 5000 rows of 1000 to 2000 candidates each: 7.5M candidate pairs, whose
+        # index arrays alone would take 60 MB each if tested at once
+        rng = np.random.default_rng(67)
+        xa = rng.uniform(0.2, 0.8, 5000)
+        xb = np.sort(rng.uniform(0.0, 1.0, 5000))
+        width = np.searchsorted(xb, xa + 0.15, "right") - np.searchsorted(xb, xa - 0.15)
+        assert width.min() > 1000 and width.sum() > 7_000_000
+        rows_a = synthetic_rows("a", xa, np.zeros(5000))
+        rows_b = synthetic_rows("b", xb, rng.uniform(size=5000))
+        tracemalloc.start()
+        try:
+            findings = find_ordering_reversals(
+                rows_a, rows_b, x="x", y="y", match_tol=0.15, sep_min=0.9999
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 100 <= len(findings) <= 10_000
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize(
         "budget", [sweep._BLOCK_BUDGET, 30], ids=["default_budget", "one_row_per_block"]
     )
@@ -628,12 +662,10 @@ def mining_cases(draw):
             "b", draw(st.lists(st.sampled_from(base + edges), min_size=n_b, max_size=n_b)),
             draw(st.lists(ys, min_size=n_b, max_size=n_b)),
         )
-    # (block budget, widest window gathered into a block): the defaults, and
-    # budgets small enough that blocks end inside runs of rows, and a budget
-    # below the widest narrow window, so a block holds one row wider than it
-    defaults = (sweep._BLOCK_BUDGET, sweep._WIDE_WINDOW)
-    budgets = draw(st.sampled_from([defaults, (3, 2), (1, 1), (4, 0), (2, 5)]))
-    return rows_a, rows_b, match_tol, sep_min, budgets
+    # the default block budget, and budgets small enough that blocks end
+    # inside runs of rows, or that one row wider than the budget is a block
+    budget = draw(st.sampled_from([sweep._BLOCK_BUDGET, 3, 2, 1, 4]))
+    return rows_a, rows_b, match_tol, sep_min, budget
 
 
 class TestOrderingMinerOracle:
@@ -642,11 +674,10 @@ class TestOrderingMinerOracle:
     @settings(max_examples=400, deadline=None)
     @given(mining_cases())
     def test_pairs_equal_the_full_mask(self, case):
-        rows_a, rows_b, match_tol, sep_min, (budget, wide) = case
+        rows_a, rows_b, match_tol, sep_min, budget = case
         # inf - inf and the largest floats' differences warn in either form
         with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore", over="ignore"):
             patch.setattr(sweep, "_BLOCK_BUDGET", budget)
-            patch.setattr(sweep, "_WIDE_WINDOW", wide)
             findings = find_ordering_reversals(
                 rows_a, rows_b, x="x", y="y", match_tol=match_tol, sep_min=sep_min
             )
@@ -693,15 +724,33 @@ class TestOrderingMinerOracle:
         rows_b = synthetic_rows("b", xb, rng.uniform(size=300))
         expected = mask_pairs(rows_a, rows_b, "x", "y", 1e-3, 0.2)
         assert len(expected) > 1000
-        for budget, wide in [(sweep._BLOCK_BUDGET, sweep._WIDE_WINDOW), (50, 40), (7, 3)]:
+        for budget in [sweep._BLOCK_BUDGET, 50, 7]:
             monkeypatch.setattr(sweep, "_BLOCK_BUDGET", budget)
-            monkeypatch.setattr(sweep, "_WIDE_WINDOW", wide)
             findings = find_ordering_reversals(
                 rows_a, rows_b, x="x", y="y", match_tol=1e-3, sep_min=0.2
             )
             pairs = [(f.theta_pair, f.values) for f in findings if f.kind == "equal-x-different-y"]
             assert pairs == expected
             assert pair_hexes(pairs) == pair_hexes(expected)
+
+    @pytest.mark.parametrize("budget", [sweep._BLOCK_BUDGET, 1000])
+    def test_every_window_wider_than_the_budget(self, monkeypatch, budget):
+        # each row's window holds all of b, more candidates than one block
+        rng = np.random.default_rng(13)
+        n_b = sweep._BLOCK_BUDGET + 4000
+        xa = [0.0, -0.0, 0.005, -0.005, 0.01, 0.0]
+        xb = np.concatenate([[0.0, -0.0, -0.01, 0.01], rng.uniform(-0.01, 0.01, n_b - 4)])
+        rows_a = synthetic_rows("a", xa, [0.0, 1.0, 0.0, 1.0, 0.0, 0.5])
+        rows_b = synthetic_rows("b", xb, rng.uniform(size=n_b))
+        monkeypatch.setattr(sweep, "_BLOCK_BUDGET", budget)
+        findings = find_ordering_reversals(
+            rows_a, rows_b, x="x", y="y", match_tol=0.02, sep_min=0.99
+        )
+        expected = mask_pairs(rows_a, rows_b, "x", "y", 0.02, 0.99)
+        pairs = [(f.theta_pair, f.values) for f in findings if f.kind == "equal-x-different-y"]
+        assert len(expected) > 500
+        assert pairs == expected
+        assert pair_hexes(pairs) == pair_hexes(expected)
 
     def test_findings_share_the_row_floats(self):
         # one float object per row, as the writer's caches expect
