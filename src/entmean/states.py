@@ -276,7 +276,10 @@ def _check_rows(rows: np.ndarray) -> None:
 
 def permute_parties(state: PureState, perm) -> PureState:
     """Relabel parties: party i of the result is party perm[i] of the input."""
-    perm = tuple(_integer("perm entry", p) for p in perm)
+    try:
+        perm = tuple(_integer("perm entry", p) for p in perm)
+    except TypeError:  # not a sequence at all
+        raise ValueError(f"perm must be a sequence of party indices, got {perm!r}") from None
     if sorted(perm) != list(range(state.n_parties)):
         raise ValueError(f"{perm} is not a permutation of 0..{state.n_parties - 1}")
     dims = tuple(state.dims[p] for p in perm)

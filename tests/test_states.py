@@ -346,6 +346,11 @@ class TestTransforms:
         with pytest.raises(ValueError, match="perm entry must be an integer"):
             permute_parties(make_w(3), perm)
 
+    @pytest.mark.parametrize("perm", [5, None, 1.5])
+    def test_permute_rejects_a_perm_that_is_not_a_sequence(self, perm):
+        with pytest.raises(ValueError, match="perm must be a sequence of party indices"):
+            permute_parties(make_w(3), perm)
+
     def test_local_unitary_keeps_norm(self):
         phase = np.diag([1.0, 1j])
         rotated = apply_local_unitary(make_ghz(3), 1, phase)
