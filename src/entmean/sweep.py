@@ -27,10 +27,9 @@ MAX_STEPS = 10_001
 # upper bound on the pair findings of one mining run: a tolerance every pair
 # meets would otherwise list about MAX_STEPS**2 of them
 MAX_FINDINGS = 250_000
-# the miner tests the candidate pairs of its x-windows in blocks of at most
-# _BLOCK_BUDGET pairs, or of one row wider than that: 128 KiB per index array.
-# Blocks four times larger measured up to twice as slow on wide windows, as
-# their temporaries come from fresh pages each time
+# the miner tests its x-windows' candidate pairs in blocks of at most
+# _BLOCK_BUDGET pairs, or of one row wider than that; blocks four times larger
+# measured up to twice as slow, their 512 KiB temporaries faulting in fresh pages
 _BLOCK_BUDGET = 16_384
 _THETA_MAX = math.pi / 2.0
 # golden-section theta tolerance, far above the float spacing on [0, pi/2]
