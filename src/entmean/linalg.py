@@ -19,11 +19,17 @@ axis orders, row dims d_min and column dims, and the walk of the row sides S.
 In a state of _TREE_MIN_SIZE or more amplitudes, S is traced over party k
 from its parent P = S | {k}, k the lowest party not in S, when P is itself
 a row side: O(d_S^2 d_k) additions in place of a GEMM.  Every other side is
-a root and takes its Gram product; in a qubit state these are the sides of
-n//2 parties.  A cut below GRAM_GUARD still takes the SVD of its cut matrix,
-built from the tensor, so product cuts on traced nodes keep their exact
-zeros.  The walk is depth first and holds one reduced matrix per level, none
-above prod(dims) entries; a whole level would take about 112 MB at 13 qubits.
+a root; in a qubit state these are the sides of n//2 parties (those holding
+party 0 when n is even).  A root takes its Gram product, except in a qubit
+state of _COVER_MIN_QUBITS or more parties: there a greedy cover of the
+roots by sides of n//2 + 1 parties (_greedy_cover) takes one GEMM per cover
+parent, which is no cut and serves only the walk, and each root is traced
+from the parent that covers it.  A cut below GRAM_GUARD still takes the SVD
+of its cut matrix, built from the tensor, so product cuts on traced nodes
+keep their exact zeros.  The walk is depth first and holds one reduced
+matrix per level; the largest, a cover parent's 2^(n//2+1) square, takes
+1 MiB complex at 14 qubits.  A whole level would take about 112 MB at 13
+qubits.
 
 The Gram walk and the Dicke path share one eigen-solve queue
 (_queued_cut_entropies).  The solves wait for every cut's purity; the cuts
@@ -57,6 +63,15 @@ GRAM_GUARD = 1e-4
 # Below it every cut takes a GEMM, so the golden qudit states keep their bytes
 # and each sweep family row, whose grid takes a GEMM per cut, equals full_report.
 _TREE_MIN_SIZE = 256
+
+# Qubit states of at least this many parties trace their walk's roots from a
+# greedy cover of larger sides (_greedy_cover).  On Haar states, BLAS at one
+# thread, the walk and its solves, timed interleaved with and without the
+# cover, ran 0.91-0.97x at 9 and 10 qubits on complex states but 1.01-1.04x
+# on real ones, and 0.79x complex and 0.88-0.90x real at 11.  At 12 they ran
+# 0.85x complex and 1.06x real: a real Gram product costs little more there
+# than the traces that replace it.
+_COVER_MIN_QUBITS = 11
 
 
 def reshape(state: PureState, part: Bipartition) -> np.ndarray:
@@ -161,6 +176,11 @@ def _tree_grams(tensor: np.ndarray, plan):
     # a row side can hold more than n//2 parties, so levels go to ndim
     levels = [None] * tensor.ndim
     for c, depth, shape in zip(*plan[0]):
+        if c is None:
+            # a cover parent, shape its axis order: the Gram matrix of its
+            # n//2 + 1 qubits, read only by the sides traced from it
+            levels[0] = _gram(tensor.transpose(shape).reshape(2 << tensor.ndim // 2, -1))
+            continue
         if shape is None:
             rho = _gram(_cut_matrix(tensor, plan, c))
         else:
@@ -215,8 +235,11 @@ def _gram(matrix: np.ndarray) -> np.ndarray:
     return matrix @ matrix.conj().T
 
 
-# one plan per dims, like the party orders
-@functools.lru_cache(maxsize=MAX_PARTIES)
+# one plan per dims: 256 hold the 143 dims of 256 or more amplitudes that
+# the report-mixed benchmark cycles through (0.55 MiB under tracemalloc).  A
+# 14-party plan, cover included, holds 0.75 MiB, so the bound caps the cache
+# near 190 MiB.
+@functools.lru_cache(maxsize=256)
 def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
     """(walk, orders, d_mins, d_cols): the cut table and Gram walk of a dense state of these dims.
 
@@ -229,6 +252,15 @@ def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], tu
     parent's Gram matrix reshaped to shape = (prod(dims[:k]), dims[k], b) * 2
     and summed over k's two axes.  S is traced when its parent is itself a
     row side and the state has at least _TREE_MIN_SIZE amplitudes.
+
+    In a qubit state of _COVER_MIN_QUBITS or more parties the roots are
+    traced too, each from one parent P = S | {k} of a greedy cover
+    (_greedy_cover).  A cover parent's entry is (None, 0, axis order): its
+    Gram matrix takes one GEMM of tensor.transpose(order), P's parties then
+    the rest, each ascending, and is no cut.  Each side P covers follows it
+    at depth 1, traced over its own party k with shape
+    (2**#{P below k}, 2, 2**#{P above k}) * 2, and its descendants follow
+    the rule above.
     """
     size = math.prod(dims)
     full = (1 << len(dims)) - 1
@@ -247,24 +279,78 @@ def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], tu
     if size < _TREE_MIN_SIZE:
         count = len(d_mins)
         return (tuple(range(count)), (0,) * count, (None,) * count), *table
-    prefix = [math.prod(dims[:k]) for k in range(len(dims))]
-    shapes = {}  # one tuple per (k, d), shared by every walk entry
+    n = len(dims)
+    prefix = [math.prod(dims[:k]) for k in range(n)]
+    shapes = {}  # one tuple per shape, shared by every walk entry
+    roots = [(side, c) for side, c in index.items() if side | (~side & (side + 1)) not in index]
+    # (side, cut index, depth, parent shape), in walk order
+    if n < _COVER_MIN_QUBITS or size != 1 << n:  # prod(dims) == 2**n: all qubits
+        entries = [(side, c, 0, None) for side, c in roots]
+    else:
+        entries = []
+        for parent, covered in _greedy_cover([side for side, _ in roots], n):
+            order = tuple(k for k in range(n) if parent >> k & 1)
+            order += tuple(k for k in range(n) if not parent >> k & 1)
+            entries.append((parent, None, 0, order))
+            for side in covered:
+                below = (parent & ((parent ^ side) - 1)).bit_count()
+                shape = (1 << below, 2, 1 << (n // 2 - below)) * 2
+                entries.append((side, index[side], 1, shapes.setdefault(shape, shape)))
     walk = []
-    # (side, cut index, depth, parent shape), popped last in first: the roots in cut order
-    stack = [(side, c, 0, None) for side, c in reversed(index.items())
-             if side | (~side & (side + 1)) not in index]
+    stack = entries[::-1]  # popped last in first
     while stack:
         side, c, depth, _ = entry = stack.pop()
         walk.append(entry)
+        if c is None:
+            continue  # a cover parent: its sides are on the stack already
         d = d_mins[c]
         # each child drops a party k below the lowest party missing from side
         for k in reversed(range((~side & (side + 1)).bit_length() - 1)):
             child = index.get(side & ~(1 << k))
             if child is not None:
                 a, d_k = prefix[k], dims[k]
-                shape = shapes.setdefault((k, d), (a, d_k, d // (a * d_k)) * 2)
+                shape = (a, d_k, d // (a * d_k)) * 2
+                shape = shapes.setdefault(shape, shape)
                 stack.append((side & ~(1 << k), child, depth + 1, shape))
     return tuple(zip(*walk))[1:], *table
+
+
+def _greedy_cover(sides: list[int], n: int) -> list[tuple[int, list[int]]]:
+    """(parent, the sides it covers) of a greedy cover of these sides by sides of one more party.
+
+    Sides are party masks over n parties.  Each step takes a parent
+    P = S | {j}, S a side, that holds the most sides not yet covered, and
+    covers those.  Parents are filed in buckets by that count; a count only
+    falls, so a parent popped from a bucket above its count is filed again
+    lower.
+    """
+    is_side = set(sides)
+    holds = {}  # candidate parent -> the sides it holds
+    # descending masks: of the orders tried, the one that broke the greedy's
+    # ties into the fewest parents (108 at 11-12 qubits, 342 at 13-14)
+    for side in sorted(sides, reverse=True):
+        for j in range(n):
+            parent = side | 1 << j
+            if parent != side and parent not in holds:
+                holds[parent] = [parent & ~(1 << i) for i in range(n)
+                                 if parent >> i & 1 and parent & ~(1 << i) in is_side]
+    buckets = [[] for _ in range(n + 1)]
+    for parent, held in holds.items():
+        buckets[len(held)].append(parent)
+    covered, cover = set(), []
+    level = n
+    while level:
+        if not buckets[level]:
+            level -= 1
+            continue
+        parent = buckets[level].pop()
+        fresh = [side for side in holds[parent] if side not in covered]
+        if len(fresh) < level:
+            buckets[len(fresh)].append(parent)
+        else:
+            covered.update(fresh)
+            cover.append((parent, fresh))
+    return cover
 
 
 def _gram_steps(matrices: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

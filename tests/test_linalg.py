@@ -494,8 +494,8 @@ class TestCutLayouts:
 
     def test_party_orders_cached_once_per_party_count(self):
         orders, plan = entmean.linalg._cut_orders, entmean.linalg._gram_plan
+        assert orders.cache_info().maxsize == entmean.states.MAX_PARTIES
         for cached, key in ((orders, 5), (plan, (3, 2, 2, 4)), (plan, (2,) * 9)):
-            assert cached.cache_info().maxsize == entmean.states.MAX_PARTIES
             assert cached(key) is cached(key)
         # the dense pass and the grid read the cached table, not a copy
         rng = np.random.default_rng(9)
@@ -504,6 +504,17 @@ class TestCutLayouts:
             assert first is second is plan(dims)[2]
         grid = _real_grid(rng, (2, 3, 2), 5)
         assert entmean.linalg.grid_cut_entropies((2, 3, 2), grid)[0] is plan((2, 3, 2))[2]
+
+    def test_plans_of_more_dims_than_parties_stay_cached(self):
+        # 27 distinct qudit dims, more than the 14 a cache per party count holds
+        all_dims = [tuple(d + 2 for d in dims) for dims in np.ndindex(3, 3, 3)]
+        states = [haar_state(dims, np.random.default_rng(i)) for i, dims in enumerate(all_dims)]
+        for state in states:
+            cut_entropies(state)
+        misses = entmean.linalg._gram_plan.cache_info().misses
+        for state in states:
+            cut_entropies(state)
+        assert entmean.linalg._gram_plan.cache_info().misses == misses
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_every_path_gives_the_same_d_mins(self, n, monkeypatch):
@@ -564,8 +575,9 @@ def _traces(plan):
     return any(shape is not None for shape in plan[0][2])
 
 
-# the fewest qubits whose states trace
+# the fewest qubits whose states trace, and whose roots are traced from a cover
 TREE_MIN = int(math.log2(entmean.linalg._TREE_MIN_SIZE))
+COVER_MIN = entmean.linalg._COVER_MIN_QUBITS
 
 # local dims 2-4 over 3-8 parties, at most 8192 amplitudes
 _DIMS = st.lists(st.integers(2, 4), min_size=3, max_size=8).filter(
@@ -588,6 +600,8 @@ class TestTraceTree:
         state = (_real_haar if field == "real" else haar_state)([2] * n, rng)
         parts, d_mins, _, top = cut_entropies(state)
         assert len(walks) == 1
+        # from COVER_MIN qubits the balanced sides are traced from cover parents
+        assert (None in walks[0][1][0][0]) == (n >= COVER_MIN)
         values = [value for _, value in full_report(state).per_bipartition]
         ref_values, ref_top = _svd_path(state)
         assert max(abs(a - b) for a, b in zip(values, ref_values)) <= 1e-12
@@ -614,20 +628,45 @@ class TestTraceTree:
         dims = (2,) * n
         walk, orders, d_mins, _ = entmean.linalg._gram_plan(dims)
         assert len(set(map(len, walk))) == 1
-        assert sorted(walk[0]) == list(range(len(orders)))
-        roots = [c for c, _, shape in zip(*walk) if shape is None]
-        assert roots == sorted(roots)
+        # every cut is walked exactly once
+        assert sorted(c for c in walk[0] if c is not None) == list(range(len(orders)))
+        row_sides = {_row_side(dims, order, d) for order, d in zip(orders, d_mins)}
+        roots = [c for c, _, shape in zip(*walk) if c is not None and shape is None]
+        parents = walk[0].count(None)
+        balanced = math.comb(n - 1, n // 2 - 1) if n % 2 == 0 else math.comb(n, n // 2)
         if n < TREE_MIN:
             assert len(roots) == len(walk[0])
-        else:
-            balanced = math.comb(n - 1, n // 2 - 1) if n % 2 == 0 else math.comb(n, n // 2)
+        elif n < COVER_MIN:
             assert len(roots) == balanced
-        # each traced entry's parent is the last entry walked one level up
+        else:
+            # the balanced sides hang from the cover parents, one level down
+            assert not roots and walk[1].count(1) == balanced
+            assert parents <= (112 if n <= 12 else 350)
+        if n < COVER_MIN:
+            assert roots == sorted(roots) and not parents
         last = {}
         for c, depth, shape in zip(*walk):
+            if c is None:
+                # a cover parent: its own n//2 + 1 parties, then the rest, each ascending
+                own, rest = shape[: n // 2 + 1], shape[n // 2 + 1 :]
+                assert depth == 0 and shape == tuple(sorted(own)) + tuple(sorted(rest))
+                assert sorted(shape) == list(range(n))
+                side = sum(1 << k for k in own)
+                assert side not in row_sides
+                last[0] = side
+                continue
             side = _row_side(dims, orders[c], d_mins[c])
             if shape is not None:
-                assert side | (~side & (side + 1)) == last[depth - 1]
+                # each traced entry's parent is the last entry walked one level up
+                parent = last[depth - 1]
+                if parents and depth == 1:
+                    # a covered side: its parent holds it and one more party k
+                    k = (parent ^ side).bit_length() - 1
+                    assert side.bit_count() == n // 2 and parent == side | 1 << k
+                    below = (parent & ((1 << k) - 1)).bit_count()
+                    assert shape == (2**below, 2, 2 ** (n // 2 - below)) * 2
+                else:
+                    assert side | (~side & (side + 1)) == parent
                 # the parent's Gram matrix traced over k leaves d_min x d_min
                 assert shape[0] * shape[2] == d_mins[c]
             last[depth] = side
@@ -669,7 +708,7 @@ class TestTraceTree:
         for dims, _ in entmean.states.FAMILIES.values():
             assert math.prod(dims) < entmean.linalg._TREE_MIN_SIZE
 
-    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("n", [11, 12, 13])
     def test_product_cuts_on_tree_nodes_stay_exactly_zero(self, n, walks):
         rng = np.random.default_rng(310 + n)
         for split in range(1, n // 2 + 1):
@@ -679,6 +718,11 @@ class TestTraceTree:
             assert dict(report.per_bipartition)[part] < 1e-12, split
             assert all(0.0 <= v <= 1.0 for _, v in report.per_bipartition), split
         assert len(walks) == n // 2
+        # the last product cut, split n//2, is a side traced from a cover parent
+        cuts, depths, shapes = walks[-1][1][0]
+        i = cuts.index(enumerate_bipartitions(n).index(part))
+        parent = max(j for j in range(i) if depths[j] == 0)
+        assert depths[i] == 1 and shapes[i] is not None and cuts[parent] is None
 
     def test_values_unchanged_by_party_permutations_and_local_unitaries(self):
         rng = np.random.default_rng(312)
