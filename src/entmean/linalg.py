@@ -235,10 +235,10 @@ def _gram(matrix: np.ndarray) -> np.ndarray:
     return matrix @ matrix.conj().T
 
 
-# one plan per dims: 256 hold the 143 dims of 256 or more amplitudes that
-# the report-mixed benchmark cycles through (0.55 MiB under tracemalloc).  A
-# 14-party plan, cover included, holds 0.75 MiB, so the bound caps the cache
-# near 190 MiB.
+# one plan per dims: 256 hold all 250 dims that the report-mixed benchmark
+# cycles through, 143 of them of 256 or more amplitudes (0.67 MiB under
+# tracemalloc).  A 14-party plan, cover included, holds 0.75 MiB, so the
+# bound caps the cache near 190 MiB.
 @functools.lru_cache(maxsize=256)
 def _gram_plan(dims: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
     """(walk, orders, d_mins, d_cols): the cut table and Gram walk of a dense state of these dims.
@@ -332,8 +332,8 @@ def _greedy_cover(sides: list[int], n: int) -> list[tuple[int, list[int]]]:
         for j in range(n):
             parent = side | 1 << j
             if parent != side and parent not in holds:
-                holds[parent] = [parent & ~(1 << i) for i in range(n)
-                                 if parent >> i & 1 and parent & ~(1 << i) in is_side]
+                holds[parent] = [parent ^ 1 << i for i in range(n)
+                                 if parent >> i & 1 and parent ^ 1 << i in is_side]
     buckets = [[] for _ in range(n + 1)]
     for parent, held in holds.items():
         buckets[len(held)].append(parent)
